@@ -141,10 +141,10 @@ int Run(int argc, char** argv) {
   }
   // The first query pays the staging mini-index build; charge it to the
   // append path, where an online serving system would amortise it.
-  GenerationalIndex::SearchOptions gen_options;
+  UnifiedSearcher::SearchOptions gen_options;
   gen_options.theta = theta;
   gen_options.tau = tau;
-  generational.Search(records[0], gen_options);
+  SearchSlices(records[0], kAllMatches, gen_options, generational.Pin());
   double append_seconds = timer.Seconds();
 
   timer.Restart();

@@ -1,7 +1,7 @@
 // Reproduces Table 9: approximation accuracy of Algorithm 1 vs the exact
 // exponential algorithm, as percentiles of the ratio approx/exact, while
 // the maximal rule size k varies. Also prints the no-improvement ablation
-// (plain SquareImp) that DESIGN.md calls out.
+// (plain SquareImp, without the claw improvement of Theorem 2).
 //
 // Instances are adversarial in the style of Example 5 / Figure 2: many
 // *overlapping* synonym rules connect random spans of the two strings, so

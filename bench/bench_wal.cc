@@ -47,15 +47,17 @@
 namespace aujoin {
 namespace {
 
-std::vector<std::vector<GenerationalIndex::Match>> Sweep(
+std::vector<std::vector<UnifiedSearcher::Match>> Sweep(
     const GenerationalIndex& index, const std::vector<Record>& queries,
     double theta, int tau) {
-  GenerationalIndex::SearchOptions options;
+  UnifiedSearcher::SearchOptions options;
   options.theta = theta;
   options.tau = tau;
-  std::vector<std::vector<GenerationalIndex::Match>> out;
+  std::vector<std::vector<UnifiedSearcher::Match>> out;
   out.reserve(queries.size());
-  for (const Record& q : queries) out.push_back(index.Search(q, options));
+  for (const Record& q : queries) {
+    out.push_back(SearchSlices(q, kAllMatches, options, index.Pin()));
+  }
   return out;
 }
 
@@ -142,10 +144,10 @@ int Run(int argc, char** argv) {
     }
     // The first query pays the staging mini-index build; recovery isn't
     // over until the index can serve.
-    GenerationalIndex::SearchOptions options;
+    UnifiedSearcher::SearchOptions options;
     options.theta = theta;
     options.tau = tau;
-    cold->Search(records[0], options);
+    SearchSlices(records[0], kAllMatches, options, cold->Pin());
     recovery_seconds += timer.Seconds();
   }
   recovery_seconds /= repeat;

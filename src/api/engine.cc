@@ -294,7 +294,8 @@ Status Engine::Checkpoint(const std::string& path) {
   return wal_->Reset();
 }
 
-Result<std::shared_ptr<const PreparedIndex>> Engine::ServingIndex() const {
+Result<std::shared_ptr<const PreparedIndex>> Engine::ServingIndex(
+    double* built_seconds) const {
   if (s_records_ == nullptr) {
     return Status::FailedPrecondition(
         "Engine::ServingIndex called before SetRecords()");
@@ -307,6 +308,9 @@ Result<std::shared_ptr<const PreparedIndex>> Engine::ServingIndex() const {
     if (index_ == nullptr) {
       index_ = PreparedIndex::Build(options_.knowledge, options_.msim,
                                     *s_records_, t_records_);
+      if (built_seconds != nullptr) {
+        *built_seconds += index_->prepare_seconds();
+      }
     }
     index_state_->ready.store(true, std::memory_order_release);
   }
@@ -419,83 +423,52 @@ UnifiedSearcher::SearchOptions ToSearcherOptions(
   return out;
 }
 
+/// Folds one searcher's counters into the caller's SearchStats.
+void AddQueryStats(const UnifiedSearcher::QueryStats& from, SearchStats* to) {
+  to->queries += from.queries;
+  to->query_candidates += from.candidates;
+  to->index_seconds += from.index_seconds;
+}
+
 }  // namespace
+
+Result<Engine::Slices> Engine::ServingSlices(double* built_seconds) const {
+  if (s_records_ == nullptr) {
+    return Status::FailedPrecondition(
+        "Engine: search called before SetRecords()");
+  }
+  Slices slices;
+  if (generational_ != nullptr) {
+    std::vector<UnifiedSearcher> pinned = generational_->Pin(built_seconds);
+    slices.count = pinned.size();
+    slices.resolve = [pinned = std::move(pinned)](
+                         size_t i, double*) -> Result<UnifiedSearcher> {
+      return pinned[i];
+    };
+  } else if (options_.num_shards > 0) {
+    Result<const ShardedIndex*> sharded = ShardedServing();
+    if (!sharded.ok()) return sharded.status();
+    slices.count = (*sharded)->num_shards();
+    slices.resolve = [sharded = *sharded](size_t s, double* built) {
+      return sharded->Searcher(s, built);
+    };
+    slices.num_threads = options_.num_threads;
+    slices.shards = slices.count;
+  } else {
+    slices.count = 1;
+    slices.resolve = [this](size_t, double* built) -> Result<UnifiedSearcher> {
+      Result<std::shared_ptr<const PreparedIndex>> index = ServingIndex(built);
+      if (!index.ok()) return index.status();
+      return UnifiedSearcher(*index);
+    };
+  }
+  return slices;
+}
 
 Result<std::vector<UnifiedSearcher::Match>> Engine::Search(
     const Record& query, const EngineSearchOptions& options,
     SearchStats* stats) const {
-  if (generational_ != nullptr) {
-    // Append mode: the generational index probes frozen + staging and
-    // merges under the serving order; its Search is const-thread-safe.
-    WallTimer wall;
-    UnifiedSearcher::QueryStats query_stats;
-    std::vector<UnifiedSearcher::Match> matches =
-        options.k > 0 ? generational_->TopK(query, options.k, options.theta,
-                                            ToSearcherOptions(options),
-                                            &query_stats)
-                      : generational_->Search(query,
-                                              ToSearcherOptions(options),
-                                              &query_stats);
-    if (stats != nullptr) {
-      stats->queries += query_stats.queries;
-      stats->query_candidates += query_stats.candidates;
-      stats->results += matches.size();
-      stats->search_seconds += wall.Seconds();
-    }
-    return matches;
-  }
-  if (use_sharded_serving()) {
-    // Scatter-gather: probe every shard in parallel and merge the
-    // ranked lists — identical to the monolithic ranking (see
-    // shard/sharded_index.h for the argument).
-    Result<const ShardedIndex*> sharded = ShardedServing();
-    if (!sharded.ok()) return sharded.status();
-    WallTimer wall;
-    double built_seconds = 0.0;
-    UnifiedSearcher::QueryStats query_stats;
-    Result<std::vector<UnifiedSearcher::Match>> matches =
-        options.k > 0
-            ? (*sharded)->TopK(query, options.k, options.theta,
-                               ToSearcherOptions(options),
-                               options_.num_threads, &query_stats,
-                               &built_seconds)
-            : (*sharded)->Search(query, ToSearcherOptions(options),
-                                 options_.num_threads, &query_stats,
-                                 &built_seconds);
-    if (!matches.ok()) return matches.status();
-    if (stats != nullptr) {
-      stats->queries += query_stats.queries;
-      stats->query_candidates += query_stats.candidates;
-      stats->results += matches->size();
-      stats->index_seconds += built_seconds;
-      stats->search_seconds += wall.Seconds();
-      stats->shards = (*sharded)->num_shards();
-    }
-    return matches;
-  }
-  Result<std::shared_ptr<const PreparedIndex>> index = ServingIndex();
-  if (!index.ok()) return index.status();
-  WallTimer wall;
-  // Force the frozen CSR serving index here so its one-time staging +
-  // freeze cost is charged exactly once, to whichever concurrent call
-  // actually performed it; afterwards every probe is a read-only scan.
-  double index_built_seconds = 0.0;
-  (*index)->ServingIndex(&index_built_seconds);
-  UnifiedSearcher searcher(*index);
-  UnifiedSearcher::QueryStats query_stats;
-  std::vector<UnifiedSearcher::Match> matches =
-      options.k > 0
-          ? searcher.TopK(query, options.k, options.theta,
-                          ToSearcherOptions(options), &query_stats)
-          : searcher.Search(query, ToSearcherOptions(options), &query_stats);
-  if (stats != nullptr) {
-    stats->queries += query_stats.queries;
-    stats->query_candidates += query_stats.candidates;
-    stats->results += matches.size();
-    stats->index_seconds += index_built_seconds;
-    stats->search_seconds += wall.Seconds();
-  }
-  return matches;
+  return TopK(query, options.k > 0 ? options.k : kAllMatches, options, stats);
 }
 
 Status Engine::Search(const Record& query, const EngineSearchOptions& options,
@@ -521,7 +494,7 @@ Status Engine::Search(const Record& query, const EngineSearchOptions& options,
     stats->index_seconds += local.index_seconds;
     stats->search_seconds += local.search_seconds;
     stats->results += emitted;
-    if (local.shards > 0) stats->shards = local.shards;
+    stats->shards = local.shards;
   }
   return Status::OK();
 }
@@ -529,22 +502,20 @@ Status Engine::Search(const Record& query, const EngineSearchOptions& options,
 Result<std::vector<UnifiedSearcher::Match>> Engine::TopK(
     const Record& query, size_t k, const EngineSearchOptions& options,
     SearchStats* stats) const {
-  EngineSearchOptions bounded = options;
-  bounded.k = k;
-  if (k == 0) {
-    // TopK's k is authoritative: explicitly asking for zero results
-    // must not fall through to Search's "0 = unbounded" — and must not
-    // force the lazy index build just to return nothing.
-    if (s_records_ == nullptr) {
-      return Status::FailedPrecondition(
-          "Engine::TopK called before SetRecords()");
-    }
-    if (stats != nullptr) {
-      ++stats->queries;
-    }
-    return std::vector<UnifiedSearcher::Match>{};
+  WallTimer wall;
+  UnifiedSearcher::QueryStats query_stats;
+  Result<Slices> slices = ServingSlices(&query_stats.index_seconds);
+  if (!slices.ok()) return slices.status();
+  Result<std::vector<UnifiedSearcher::Match>> matches =
+      SearchSlices(query, k, ToSearcherOptions(options), slices->count,
+                   slices->resolve, slices->num_threads, &query_stats);
+  if (matches.ok() && stats != nullptr) {
+    AddQueryStats(query_stats, stats);
+    stats->results += matches->size();
+    stats->search_seconds += wall.Seconds();
+    stats->shards = slices->shards;
   }
-  return Search(query, bounded, stats);
+  return matches;
 }
 
 Status Engine::BatchSearch(
@@ -556,93 +527,38 @@ Status Engine::BatchSearch(
     return Status::InvalidArgument("BatchSearch requires a callback");
   }
   WallTimer wall;
-  double index_built_seconds = 0.0;
-  uint64_t scattered_shards = 0;
+  double pinned_seconds = 0.0;
+  Result<Slices> slices = ServingSlices(&pinned_seconds);
+  if (!slices.ok()) return slices.status();
   const UnifiedSearcher::SearchOptions searcher_options =
       ToSearcherOptions(options);
+  const size_t k = options.k > 0 ? options.k : kAllMatches;
   const int workers = ResolveThreads(options_.num_threads);
   std::vector<std::vector<UnifiedSearcher::Match>> results(queries.size());
   std::vector<UnifiedSearcher::QueryStats> worker_stats(workers);
-  if (generational_ != nullptr) {
-    // Append mode: each worker probes the generational index directly
-    // (const and thread-safe; every query pins its own generations).
-    const GenerationalIndex* generational = generational_.get();
-    ParallelFor(queries.size(), options_.num_threads,
-                [&](size_t begin, size_t end, int worker) {
-                  for (size_t q = begin; q < end; ++q) {
-                    results[q] =
-                        options.k > 0
-                            ? generational->TopK(queries[q], options.k,
-                                                 options.theta,
-                                                 searcher_options,
-                                                 &worker_stats[worker])
-                            : generational->Search(queries[q],
-                                                   searcher_options,
-                                                   &worker_stats[worker]);
+  std::vector<Status> worker_status(workers);
+  std::atomic<bool> failed{false};
+  // Parallelism lives at the query level here (each worker owns a
+  // query slice), so every query resolves and probes its store slices
+  // on its own worker — never a pool inside a pool.
+  ParallelFor(queries.size(), options_.num_threads,
+              [&](size_t begin, size_t end, int worker) {
+                for (size_t q = begin; q < end; ++q) {
+                  if (failed.load(std::memory_order_relaxed)) return;
+                  Result<std::vector<UnifiedSearcher::Match>> matches =
+                      SearchSlices(queries[q], k, searcher_options,
+                                   slices->count, slices->resolve,
+                                   /*num_threads=*/1, &worker_stats[worker]);
+                  if (!matches.ok()) {
+                    worker_status[worker] = matches.status();
+                    failed.store(true, std::memory_order_relaxed);
+                    return;
                   }
-                });
-  } else if (use_sharded_serving()) {
-    // Parallelism lives at the query level here (each worker owns a
-    // query slice), so every per-query scatter runs its shard scans
-    // serially — never a pool inside a pool.
-    Result<const ShardedIndex*> shardedr = ShardedServing();
-    if (!shardedr.ok()) return shardedr.status();
-    const ShardedIndex* sharded = *shardedr;
-    scattered_shards = sharded->num_shards();
-    std::vector<double> worker_built(workers, 0.0);
-    std::vector<Status> worker_status(workers, Status::OK());
-    std::atomic<bool> failed{false};
-    ParallelFor(queries.size(), options_.num_threads,
-                [&](size_t begin, size_t end, int worker) {
-                  for (size_t q = begin; q < end; ++q) {
-                    if (failed.load(std::memory_order_relaxed)) return;
-                    Result<std::vector<UnifiedSearcher::Match>> matches =
-                        options.k > 0
-                            ? sharded->TopK(queries[q], options.k,
-                                            options.theta, searcher_options,
-                                            /*num_threads=*/1,
-                                            &worker_stats[worker],
-                                            &worker_built[worker])
-                            : sharded->Search(queries[q], searcher_options,
-                                              /*num_threads=*/1,
-                                              &worker_stats[worker],
-                                              &worker_built[worker]);
-                    if (!matches.ok()) {
-                      worker_status[worker] = matches.status();
-                      failed.store(true, std::memory_order_relaxed);
-                      return;
-                    }
-                    results[q] = std::move(*matches);
-                  }
-                });
-    for (const Status& status : worker_status) {
-      if (!status.ok()) return status;
-    }
-    for (double built : worker_built) index_built_seconds += built;
-  } else {
-    Result<std::shared_ptr<const PreparedIndex>> index = ServingIndex();
-    if (!index.ok()) return index.status();
-    // Force the frozen CSR serving index once up front so the parallel
-    // workers only read it (they would build it safely anyway, but
-    // serially); the build cost is charged to this call only if it
-    // performed the build. Each worker then reuses one thread_local
-    // count-merge accumulator across its whole query slice.
-    (*index)->ServingIndex(&index_built_seconds);
-
-    UnifiedSearcher searcher(*index);
-    ParallelFor(queries.size(), options_.num_threads,
-                [&](size_t begin, size_t end, int worker) {
-                  for (size_t q = begin; q < end; ++q) {
-                    results[q] = options.k > 0
-                                     ? searcher.TopK(queries[q], options.k,
-                                                     options.theta,
-                                                     searcher_options,
-                                                     &worker_stats[worker])
-                                     : searcher.Search(queries[q],
-                                                       searcher_options,
-                                                       &worker_stats[worker]);
-                  }
-                });
+                  results[q] = std::move(*matches);
+                }
+              });
+  for (const Status& status : worker_status) {
+    if (!status.ok()) return status;
   }
 
   uint64_t emitted = 0;
@@ -658,13 +574,12 @@ Status Engine::BatchSearch(
   }
   if (stats != nullptr) {
     for (const UnifiedSearcher::QueryStats& ws : worker_stats) {
-      stats->queries += ws.queries;
-      stats->query_candidates += ws.candidates;
+      AddQueryStats(ws, stats);
     }
     stats->results += emitted;
-    stats->index_seconds += index_built_seconds;
+    stats->index_seconds += pinned_seconds;
     stats->search_seconds += wall.Seconds();
-    if (scattered_shards > 0) stats->shards = scattered_shards;
+    stats->shards = slices->shards;
   }
   return Status::OK();
 }

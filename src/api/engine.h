@@ -50,21 +50,21 @@ struct EngineOptions {
   size_t stream_batch_size = 4096;
   /// When > 0, every Join runs through the partitioned pipeline: the
   /// bound collection(s) are sharded into partitions of at most this many
-  /// records and partition-pair blocks execute in parallel on a shared
-  /// thread pool, bounding prepared-context memory by the blocks in
-  /// flight instead of the whole collection (see join/pipeline.h). 0 runs
-  /// the monolithic path. Either way the match set and its emission order
-  /// are identical.
+  /// records (a range plan, ShardPlan::Bounded) and partition-pair
+  /// blocks execute in parallel on a shared thread pool, bounding
+  /// prepared-context memory by the blocks in flight instead of the
+  /// whole collection (see join/pipeline.h). 0 runs the monolithic path.
+  /// Either way the match set and its emission order are identical.
   size_t max_partition_records = 0;
   /// First-class shards: when > 0, the bound collection(s) are split
   /// into exactly this many shards (by `shard_by`), joins enumerate
   /// shard-pair blocks through the same pipeline the partition mode
-  /// uses, serving scatters every query across per-shard searchers and
-  /// stripe-merges the ranked results, and SaveIndex/LoadIndex persist
-  /// one snapshot file per shard behind a manifest. Results are
-  /// byte-identical to the monolithic path. Takes precedence over
-  /// max_partition_records; ignored in append mode (the generational
-  /// index serves appends).
+  /// uses, serving answers every query over the shards as slices of
+  /// the collection (SearchSlices in join/search.h), and
+  /// SaveIndex/LoadIndex persist one snapshot file per shard behind a
+  /// manifest. Results are byte-identical to the monolithic path.
+  /// Takes precedence over max_partition_records; ignored in append
+  /// mode (the generational index serves appends).
   size_t num_shards = 0;
   /// Shard placement scheme (record range or key hash); see
   /// shard/shard_plan.h.
@@ -112,6 +112,12 @@ struct EngineSearchOptions {
 };
 
 /// Aggregated serving statistics of one Search/TopK/BatchSearch call.
+/// The timings mean the same on every serving store (monolithic,
+/// sharded, append): `search_seconds` is the wall time of the whole
+/// call, and `index_seconds` is the part of it spent on one-time index
+/// work the call paid for — preparing and freezing an index, or
+/// mounting a snapshot shard. A call that finds everything built
+/// reports index_seconds == 0.
 struct SearchStats {
   uint64_t queries = 0;
   /// Candidate records that survived the signature filter (verified).
@@ -120,8 +126,10 @@ struct SearchStats {
   /// or callback) this counts matches actually emitted — a consumer
   /// that stops early caps it, including the match it declined.
   uint64_t results = 0;
-  /// One-time serving-index build seconds, charged to the call that
-  /// forced it (0 afterwards — the index is shared and immutable).
+  /// One-time index build (prepare + CSR freeze) or mount seconds,
+  /// charged to the call that paid them; with shards built in
+  /// parallel, the busiest worker's share. Never exceeds
+  /// search_seconds.
   double index_seconds = 0.0;
   /// Wall seconds of the whole call, including any index build.
   double search_seconds = 0.0;
@@ -190,11 +198,15 @@ class Engine {
   JoinContext& PreparedContext();
 
   /// The shared immutable PreparedIndex for the bound records, built
-  /// lazily under a mutex (thread-safe, callable concurrently). Joins,
-  /// searches and external UnifiedSearchers all borrow this one
-  /// instance; it stays valid after SetRecords rebinds the engine as
-  /// long as the caller holds the shared_ptr (and the old records).
-  Result<std::shared_ptr<const PreparedIndex>> ServingIndex() const;
+  /// lazily under a mutex (thread-safe, callable concurrently); the
+  /// call that builds it adds the prepare seconds to `*built_seconds`.
+  /// Joins, monolithic searches and external UnifiedSearchers all
+  /// borrow this one instance; it stays valid after SetRecords rebinds
+  /// the engine as long as the caller holds the shared_ptr (and the old
+  /// records). A sharded engine serves from its shards and never needs
+  /// it.
+  Result<std::shared_ptr<const PreparedIndex>> ServingIndex(
+      double* built_seconds = nullptr) const;
 
   /// Persists the prepared index (building it first if needed) as a
   /// versioned snapshot at `path` — see storage/snapshot_format.h. A
@@ -288,11 +300,14 @@ class Engine {
   /// residency.
   const ShardedIndex* sharded_index() const { return sharded_.get(); }
 
-  /// Online search over the bound T side (== S for a self-join): every
-  /// record with Approx USIM >= theta, ordered by similarity desc then
-  /// id asc, truncated to options.k when set. Const and safe to call
-  /// from many threads concurrently on one engine; all per-query
-  /// scratch state is local to the call.
+  /// Online search over the bound T side (== S for a self-join; in
+  /// append mode, the bound records plus every append): every record
+  /// with Approx USIM >= theta, ordered by similarity desc then id asc,
+  /// truncated to options.k when set. Const and safe to call from many
+  /// threads concurrently on one engine; all per-query scratch state is
+  /// local to the call. Whatever the store, the query runs through
+  /// SearchSlices (join/search.h); across shards, the slices are
+  /// resolved and probed on the engine's num_threads.
   Result<std::vector<UnifiedSearcher::Match>> Search(
       const Record& query, const EngineSearchOptions& options,
       SearchStats* stats = nullptr) const;
@@ -304,7 +319,9 @@ class Engine {
                 MatchSink* sink, SearchStats* stats = nullptr) const;
 
   /// The k most similar records with similarity >= options.theta —
-  /// Search with the result bound as an argument.
+  /// Search with the result bound as an argument (options.k is
+  /// ignored; k = 0 answers nothing but still counts one query, and
+  /// kAllMatches answers everything).
   Result<std::vector<UnifiedSearcher::Match>> TopK(
       const Record& query, size_t k, const EngineSearchOptions& options,
       SearchStats* stats = nullptr) const;
@@ -313,7 +330,9 @@ class Engine {
   /// policy) and streams every match to `on_match(query_index, match)`
   /// in ascending query order, rank order within a query, each exactly
   /// once. A false return stops the emission immediately (matches
-  /// after it, including the current query's, are dropped).
+  /// after it, including the current query's, are dropped). Every
+  /// query is answered from the slices the store pinned when the call
+  /// began, each on one worker (no pool inside the pool).
   Status BatchSearch(
       const std::vector<Record>& queries, const EngineSearchOptions& options,
       const std::function<bool(uint32_t, const UnifiedSearcher::Match&)>&
@@ -337,12 +356,25 @@ class Engine {
   /// plan. Same lock-free-once-published pattern as ServingIndex.
   Result<const ShardedIndex*> ShardedServing() const;
 
-  /// Whether serving should scatter-gather across shards: num_shards
-  /// configured and not in append mode (the generational index takes
-  /// precedence — appends land in one growing collection).
-  bool use_sharded_serving() const {
-    return options_.num_shards > 0 && generational_ == nullptr;
-  }
+  /// What one query is answered from: the serving store's slices and
+  /// how to resolve them (see SearchSlices).
+  struct Slices {
+    size_t count = 0;
+    SliceResolver resolve;
+    /// Workers that resolve and probe one query's slices: the engine's
+    /// num_threads across shards, the calling thread otherwise.
+    int num_threads = 1;
+    /// SearchStats::shards.
+    uint64_t shards = 0;
+  };
+
+  /// The serving store's slices: in append mode the generational
+  /// index's pinned frozen + staging pair (the generational index takes
+  /// precedence — appends land in one growing collection), with
+  /// num_shards the shards, otherwise the monolithic prepared index.
+  /// Pinning adds any staging build to `*built_seconds`; every other
+  /// build or mount happens when a slice is resolved.
+  Result<Slices> ServingSlices(double* built_seconds) const;
 
   EngineOptions options_;
   const std::vector<Record>* s_records_ = nullptr;

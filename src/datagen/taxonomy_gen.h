@@ -8,10 +8,10 @@
 
 namespace aujoin {
 
-/// Parameters of the synthetic IS-A hierarchy (stands in for MeSH /
-/// Wikipedia categories; see the substitution table in DESIGN.md). The
-/// random-attachment process yields heights with the min/avg/max shape of
-/// Table 6 at laptop scale.
+/// Parameters of the synthetic IS-A hierarchy that stands in for the
+/// paper's MeSH / Wikipedia category taxonomies. The random-attachment
+/// process yields heights with the min/avg/max shape of Table 6 at laptop
+/// scale.
 struct TaxonomyGenOptions {
   size_t num_nodes = 2000;
   /// Nodes at this depth stop acquiring children.

@@ -179,27 +179,17 @@ Status RunPartitionedJoin(const AlgorithmFactory& factory,
   }
 
   const bool self = context.self_join();
-  ShardPlan s_plan, t_plan;
-  if (shard_mode) {
-    s_plan = ShardPlan::Make(context.s_records->size(),
-                             pipeline_options.num_shards,
+  auto make_plan = [&](size_t num_records) {
+    if (shard_mode) {
+      return ShardPlan::Make(num_records, pipeline_options.num_shards,
                              pipeline_options.shard_by);
-    t_plan = self ? s_plan
-                  : ShardPlan::Make(context.t_records->size(),
-                                    pipeline_options.num_shards,
-                                    pipeline_options.shard_by);
-  } else {
-    s_plan = ShardPlan::FromPartitions(
-        PartitionPlan::Shard(context.s_records->size(),
-                             pipeline_options.max_partition_records),
-        context.s_records->size());
-    t_plan = self ? s_plan
-                  : ShardPlan::FromPartitions(
-                        PartitionPlan::Shard(
-                            context.t_records->size(),
-                            pipeline_options.max_partition_records),
-                        context.t_records->size());
-  }
+    }
+    return ShardPlan::Bounded(num_records,
+                              pipeline_options.max_partition_records);
+  };
+  const ShardPlan s_plan = make_plan(context.s_records->size());
+  const ShardPlan t_plan =
+      self ? s_plan : make_plan(context.t_records->size());
   std::vector<PartitionBlock> blocks =
       EnumerateBlocks(s_plan.num_shards(), t_plan.num_shards(), self);
 

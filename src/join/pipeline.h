@@ -7,7 +7,6 @@
 
 #include "api/join_algorithm.h"
 #include "api/match_sink.h"
-#include "join/partition.h"
 #include "shard/shard_plan.h"
 #include "util/status.h"
 

@@ -24,7 +24,7 @@ struct SignatureOptions {
   FilterMethod method = FilterMethod::kAuDp;
   /// Use the exact DP minimum-partition lower bound MP(S) instead of the
   /// paper's greedy + Johnson-bound estimate (both are valid lower bounds;
-  /// the exact one is tighter — see DESIGN.md).
+  /// the exact one is tighter).
   bool exact_min_partition = true;
 };
 

@@ -29,8 +29,9 @@ ShardPlan ShardPlan::Make(size_t num_records, size_t num_shards,
   plan.shard_ids.resize(num_shards);
   if (shard_by == ShardBy::kRange) {
     plan.contiguous = true;
-    // Balanced contiguous split, same arithmetic as PartitionPlan: the
-    // first (num_records % num_shards) shards get one extra record.
+    // Balanced contiguous split: the first (num_records % num_shards)
+    // shards get one extra record, so every size is the floor or ceil
+    // of num_records / num_shards.
     size_t base = num_records / num_shards;
     size_t extra = num_records % num_shards;
     uint32_t next = 0;
@@ -51,20 +52,25 @@ ShardPlan ShardPlan::Make(size_t num_records, size_t num_shards,
   return plan;
 }
 
-ShardPlan ShardPlan::FromPartitions(const PartitionPlan& partitions,
-                                    size_t num_records) {
-  ShardPlan plan;
-  plan.shard_by = ShardBy::kRange;
-  plan.contiguous = true;
-  plan.num_records = num_records;
-  plan.shard_ids.reserve(partitions.num_partitions());
-  for (const Partition& part : partitions.partitions) {
-    std::vector<uint32_t> ids;
-    ids.reserve(part.size());
-    for (uint32_t i = part.begin; i < part.end; ++i) ids.push_back(i);
-    plan.shard_ids.push_back(std::move(ids));
+ShardPlan ShardPlan::Bounded(size_t num_records, size_t max_records) {
+  size_t shards = 1;
+  if (max_records > 0 && max_records < num_records) {
+    shards = (num_records + max_records - 1) / max_records;
   }
+  ShardPlan plan = Make(num_records, shards, ShardBy::kRange);
+  if (num_records == 0) plan.shard_ids.clear();
   return plan;
+}
+
+std::vector<PartitionBlock> EnumerateBlocks(size_t s_parts, size_t t_parts,
+                                            bool self_join) {
+  std::vector<PartitionBlock> blocks;
+  for (uint32_t i = 0; i < s_parts; ++i) {
+    for (uint32_t j = self_join ? i : 0; j < t_parts; ++j) {
+      blocks.push_back(PartitionBlock{i, j});
+    }
+  }
+  return blocks;
 }
 
 }  // namespace aujoin

@@ -1,6 +1,5 @@
 #include "shard/sharded_index.h"
 
-#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -9,7 +8,6 @@
 #include "storage/snapshot_reader.h"
 #include "storage/snapshot_writer.h"
 #include "util/hash.h"
-#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace aujoin {
@@ -28,29 +26,6 @@ uint64_t HashFullCollection(const std::vector<Record>& records) {
   return h;
 }
 
-/// Merges per-shard match lists (each sorted by similarity desc, local
-/// id asc, already mapped to global ids so the tie order is global)
-/// into one list under the serving order.
-std::vector<UnifiedSearcher::Match> MergeShardMatches(
-    std::vector<std::vector<UnifiedSearcher::Match>> per_shard) {
-  std::vector<UnifiedSearcher::Match> merged;
-  size_t total = 0;
-  for (const auto& m : per_shard) total += m.size();
-  merged.reserve(total);
-  for (auto& m : per_shard) {
-    merged.insert(merged.end(), m.begin(), m.end());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const UnifiedSearcher::Match& a,
-               const UnifiedSearcher::Match& b) {
-              if (a.similarity != b.similarity) {
-                return a.similarity > b.similarity;
-              }
-              return a.id < b.id;
-            });
-  return merged;
-}
-
 }  // namespace
 
 ShardedIndex::ShardedIndex(const Knowledge& knowledge,
@@ -60,6 +35,7 @@ ShardedIndex::ShardedIndex(const Knowledge& knowledge,
     : knowledge_(knowledge),
       msim_(msim),
       shard_by_(plan.shard_by),
+      contiguous_(plan.contiguous),
       num_records_(records.size()) {
   shards_.reserve(plan.num_shards());
   for (size_t s = 0; s < plan.num_shards(); ++s) {
@@ -109,81 +85,15 @@ Result<std::shared_ptr<const PreparedIndex>> ShardedIndex::ShardIndex(
   return shard.index;
 }
 
-Result<std::vector<ShardedIndex::Match>> ShardedIndex::Search(
-    const Record& query, const SearchOptions& options, int num_threads,
-    QueryStats* stats, double* built_seconds) const {
-  const size_t n = shards_.size();
-  std::vector<std::vector<Match>> per_shard(n);
-  std::vector<QueryStats> shard_stats(n);
-  std::vector<Status> shard_status(n, Status::OK());
-  std::vector<double> shard_built(n, 0.0);
-  ParallelFor(n, num_threads, [&](size_t begin, size_t end, int) {
-    for (size_t s = begin; s < end; ++s) {
-      if (shards_[s]->records.empty()) continue;
-      Result<std::shared_ptr<const PreparedIndex>> index =
-          ShardIndex(s, &shard_built[s]);
-      if (!index.ok()) {
-        shard_status[s] = index.status();
-        continue;
-      }
-      UnifiedSearcher searcher(*index);
-      std::vector<Match> matches =
-          searcher.Search(query, options, &shard_stats[s]);
-      const std::vector<uint32_t>& ids = shards_[s]->global_ids;
-      for (Match& m : matches) m.id = ids[m.id];
-      per_shard[s] = std::move(matches);
-    }
-  });
-  for (size_t s = 0; s < n; ++s) {
-    if (!shard_status[s].ok()) return shard_status[s];
-    if (built_seconds != nullptr) *built_seconds += shard_built[s];
-    if (stats != nullptr) stats->candidates += shard_stats[s].candidates;
-  }
-  if (stats != nullptr) ++stats->queries;
-  return MergeShardMatches(std::move(per_shard));
-}
-
-Result<std::vector<ShardedIndex::Match>> ShardedIndex::TopK(
-    const Record& query, size_t k, double min_theta,
-    const SearchOptions& options, int num_threads, QueryStats* stats,
-    double* built_seconds) const {
-  if (k == 0) {
-    if (stats != nullptr) ++stats->queries;
-    return std::vector<Match>{};
-  }
-  const size_t n = shards_.size();
-  std::vector<std::vector<Match>> per_shard(n);
-  std::vector<QueryStats> shard_stats(n);
-  std::vector<Status> shard_status(n, Status::OK());
-  std::vector<double> shard_built(n, 0.0);
-  ParallelFor(n, num_threads, [&](size_t begin, size_t end, int) {
-    for (size_t s = begin; s < end; ++s) {
-      if (shards_[s]->records.empty()) continue;
-      Result<std::shared_ptr<const PreparedIndex>> index =
-          ShardIndex(s, &shard_built[s]);
-      if (!index.ok()) {
-        shard_status[s] = index.status();
-        continue;
-      }
-      UnifiedSearcher searcher(*index);
-      // Each shard returns its own k best; the global k best is a
-      // subset of the union of those lists.
-      std::vector<Match> matches =
-          searcher.TopK(query, k, min_theta, options, &shard_stats[s]);
-      const std::vector<uint32_t>& ids = shards_[s]->global_ids;
-      for (Match& m : matches) m.id = ids[m.id];
-      per_shard[s] = std::move(matches);
-    }
-  });
-  for (size_t s = 0; s < n; ++s) {
-    if (!shard_status[s].ok()) return shard_status[s];
-    if (built_seconds != nullptr) *built_seconds += shard_built[s];
-    if (stats != nullptr) stats->candidates += shard_stats[s].candidates;
-  }
-  if (stats != nullptr) ++stats->queries;
-  std::vector<Match> merged = MergeShardMatches(std::move(per_shard));
-  if (merged.size() > k) merged.resize(k);
-  return merged;
+Result<UnifiedSearcher> ShardedIndex::Searcher(size_t s,
+                                               double* built_seconds) const {
+  const std::vector<uint32_t>& ids = shards_[s]->global_ids;
+  if (ids.empty()) return UnifiedSearcher(knowledge_, msim_);
+  Result<std::shared_ptr<const PreparedIndex>> index =
+      ShardIndex(s, built_seconds);
+  if (!index.ok()) return index.status();
+  if (contiguous_) return UnifiedSearcher(*index, ids.front());
+  return UnifiedSearcher(*index, &ids);
 }
 
 std::string ShardedIndex::ShardFileName(const std::string& path, size_t s) {

@@ -1,16 +1,11 @@
 /// \file
-/// ShardedIndex — scatter-gather serving over first-class shards. The
+/// ShardedIndex — the shard store behind scatter-gather serving. The
 /// collection is split by a ShardPlan; each shard owns its record
 /// slice (ids renumbered locally) and an immutable PreparedIndex over
 /// it, built lazily on first probe or mounted lazily from its own
-/// snapshot file. A query scatters to every shard's UnifiedSearcher
-/// and the per-shard ranked lists are merged under the serving order
-/// (similarity desc, global id asc) — byte-identical to one monolithic
-/// searcher over the whole collection, because the signature filter is
-/// lossless per record pair and similarity is intrinsic to the
-/// (query, record) pair, so searching disjoint sub-collections and
-/// merging equals searching the union (the same argument
-/// GenerationalIndex relies on for frozen + staging).
+/// snapshot file. Searcher(s) hands shard s to the one query path
+/// (SearchSlices in join/search.h) as a searcher that answers in
+/// global ids; the store itself neither searches nor merges.
 ///
 /// Thread-safety: after construction every const method is safe to
 /// call concurrently. Each shard's index is built (or loaded) under a
@@ -41,10 +36,6 @@ class Env;
 
 class ShardedIndex {
  public:
-  using Match = UnifiedSearcher::Match;
-  using SearchOptions = UnifiedSearcher::SearchOptions;
-  using QueryStats = UnifiedSearcher::QueryStats;
-
   /// Splits `records` under `plan` (each shard copies its slice with
   /// ids renumbered 0..n-1, so the index owns everything it serves).
   /// Shard indexes are built lazily; nothing heavy happens here.
@@ -62,40 +53,19 @@ class ShardedIndex {
   /// tests assert that mounting one shard leaves the rest untouched.
   size_t num_resident_shards() const;
 
-  /// Every record with Approx USIM >= theta across all shards, merged
-  /// under the serving order (similarity desc, global id asc). Shards
-  /// are probed in parallel (`num_threads`, ResolveThreads semantics;
-  /// pass 1 when the caller already parallelises, e.g. over a query
-  /// batch). `built_seconds` (when given) accumulates the one-time
-  /// index build/load cost THIS call paid, charged exactly once across
-  /// concurrent callers. Fails only when a lazy snapshot mount fails.
-  Result<std::vector<Match>> Search(const Record& query,
-                                    const SearchOptions& options,
-                                    int num_threads,
-                                    QueryStats* stats = nullptr,
-                                    double* built_seconds = nullptr) const;
-
-  /// The k best matches with similarity >= min_theta under the serving
-  /// order — byte-identical to the k-prefix of Search (each shard
-  /// returns its own top k; the global top k is a subset of their
-  /// union).
-  Result<std::vector<Match>> TopK(const Record& query, size_t k,
-                                  double min_theta,
-                                  const SearchOptions& options,
-                                  int num_threads,
-                                  QueryStats* stats = nullptr,
-                                  double* built_seconds = nullptr) const;
-
   /// Shard `s`'s prepared index, building it from the shard's records
-  /// (or mounting its snapshot file) on first use. Thread-safe.
+  /// (or mounting its snapshot file) on first use; the call that does
+  /// so adds its seconds to `*built_seconds`. Thread-safe.
   Result<std::shared_ptr<const PreparedIndex>> ShardIndex(
       size_t s, double* built_seconds = nullptr) const;
 
-  /// The global record ids of shard `s`, ascending (local id i of the
-  /// shard's slice is global shard_global_ids(s)[i]).
-  const std::vector<uint32_t>& shard_global_ids(size_t s) const {
-    return shards_[s]->global_ids;
-  }
+  /// Shard `s` as a slice of the collection: a searcher over its
+  /// prepared index (built or mounted on first use, as in ShardIndex)
+  /// that answers in global ids — by offset on a contiguous (range)
+  /// plan, through the shard's id list otherwise. An empty shard is
+  /// never built; its searcher answers nothing. Thread-safe.
+  Result<UnifiedSearcher> Searcher(size_t s,
+                                   double* built_seconds = nullptr) const;
 
   /// Saves every shard's index as its own snapshot file
   /// (`<path>.shard-<s>`, forcing lazy builds first) and then commits
@@ -138,6 +108,8 @@ class ShardedIndex {
   Knowledge knowledge_;
   MsimOptions msim_;
   ShardBy shard_by_ = ShardBy::kRange;
+  /// Whether every shard is a contiguous id range (ShardPlan::contiguous).
+  bool contiguous_ = true;
   size_t num_records_ = 0;
   Env* env_ = nullptr;  // used only for lazy snapshot mounts
   std::vector<std::unique_ptr<Shard>> shards_;

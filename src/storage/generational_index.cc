@@ -1,6 +1,5 @@
 #include "storage/generational_index.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -8,17 +7,6 @@
 #include "storage/wal_writer.h"
 
 namespace aujoin {
-namespace {
-
-/// The serving order shared with UnifiedSearcher: similarity desc,
-/// id asc.
-bool BetterMatch(const UnifiedSearcher::Match& a,
-                 const UnifiedSearcher::Match& b) {
-  if (a.similarity != b.similarity) return a.similarity > b.similarity;
-  return a.id < b.id;
-}
-
-}  // namespace
 
 GenerationalIndex::GenerationalIndex(const Knowledge& knowledge,
                                      const MsimOptions& msim,
@@ -141,86 +129,35 @@ uint32_t GenerationalIndex::Append(Record record) {
   return id;
 }
 
-void GenerationalIndex::Pin(std::shared_ptr<const Generation>* frozen,
-                            std::shared_ptr<const Generation>* staging) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (staging_gen_ == nullptr && !staging_records_.empty()) {
-    // Prepare the staging mini index over a COPY of the buffer: a
-    // concurrent Append may grow (and reallocate) staging_records_
-    // while this generation is still serving queries.
-    staging_gen_ = BuildGeneration(knowledge_, msim_, staging_records_);
-  }
-  *frozen = frozen_;
-  *staging = staging_gen_;
-}
-
-std::vector<GenerationalIndex::Match> GenerationalIndex::MergeMatches(
-    std::vector<Match> frozen, std::vector<Match> staging,
-    uint32_t staging_offset) {
-  if (staging.empty()) return frozen;
-  // Staging match ids are positions inside the staging snapshot; the
-  // global id adds the frozen record count pinned with it.
-  for (Match& m : staging) m.id += staging_offset;
-  std::vector<Match> merged;
-  merged.reserve(frozen.size() + staging.size());
-  std::merge(frozen.begin(), frozen.end(), staging.begin(), staging.end(),
-             std::back_inserter(merged), BetterMatch);
-  return merged;
-}
-
-std::vector<GenerationalIndex::Match> GenerationalIndex::Search(
-    const Record& query, const SearchOptions& options,
-    QueryStats* stats) const {
+std::vector<UnifiedSearcher> GenerationalIndex::Pin(
+    double* built_seconds) const {
   std::shared_ptr<const Generation> frozen;
   std::shared_ptr<const Generation> staging;
-  Pin(&frozen, &staging);
-  std::vector<Match> frozen_matches =
-      UnifiedSearcher(frozen->index).Search(query, options, stats);
-  if (staging == nullptr) return frozen_matches;
-  std::vector<Match> staging_matches =
-      UnifiedSearcher(staging->index).Search(query, options, stats);
-  if (stats != nullptr) {
-    // Both sub-searches counted the query; the union serves it once.
-    stats->queries -= 1;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (staging_gen_ == nullptr && !staging_records_.empty()) {
+      // Prepare the staging mini index over a COPY of the buffer: a
+      // concurrent Append may grow (and reallocate) staging_records_
+      // while this generation is still serving queries.
+      staging_gen_ = BuildGeneration(knowledge_, msim_, staging_records_);
+      if (built_seconds != nullptr) {
+        *built_seconds += staging_gen_->index->prepare_seconds();
+      }
+    }
+    frozen = frozen_;
+    staging = staging_gen_;
   }
-  return MergeMatches(std::move(frozen_matches), std::move(staging_matches),
-                      static_cast<uint32_t>(frozen->records->size()));
-}
-
-std::vector<GenerationalIndex::Match> GenerationalIndex::TopK(
-    const Record& query, size_t k, double min_theta,
-    const SearchOptions& options, QueryStats* stats) const {
-  std::shared_ptr<const Generation> frozen;
-  std::shared_ptr<const Generation> staging;
-  Pin(&frozen, &staging);
-  std::vector<Match> frozen_matches =
-      UnifiedSearcher(frozen->index).TopK(query, k, min_theta, options, stats);
-  if (staging == nullptr) return frozen_matches;
-  std::vector<Match> staging_matches = UnifiedSearcher(staging->index)
-                                           .TopK(query, k, min_theta, options,
-                                                 stats);
-  if (stats != nullptr) {
-    stats->queries -= 1;
+  // Each searcher's index pointer shares ownership of its whole
+  // generation, so the records the index borrows stay alive with it.
+  std::vector<UnifiedSearcher> slices;
+  slices.emplace_back(
+      std::shared_ptr<const PreparedIndex>(frozen, frozen->index.get()));
+  if (staging != nullptr) {
+    slices.emplace_back(
+        std::shared_ptr<const PreparedIndex>(staging, staging->index.get()),
+        static_cast<uint32_t>(frozen->records->size()));
   }
-  // The union's top k is inside the union of the per-generation top
-  // ks, so merging the two k-prefixes and cutting at k is exact.
-  std::vector<Match> merged =
-      MergeMatches(std::move(frozen_matches), std::move(staging_matches),
-                   static_cast<uint32_t>(frozen->records->size()));
-  if (merged.size() > k) merged.resize(k);
-  return merged;
-}
-
-std::vector<std::vector<GenerationalIndex::Match>>
-GenerationalIndex::BatchSearch(const std::vector<Record>& queries,
-                               const SearchOptions& options,
-                               QueryStats* stats) const {
-  std::vector<std::vector<Match>> out;
-  out.reserve(queries.size());
-  for (const Record& query : queries) {
-    out.push_back(Search(query, options, stats));
-  }
-  return out;
+  return slices;
 }
 
 void GenerationalIndex::Refreeze() {

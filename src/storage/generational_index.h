@@ -4,21 +4,22 @@
 /// PreparedIndex (pebbles + global order + CSR serving index) over
 /// every compacted record; appended records land in a small mutable
 /// staging buffer that is prepared lazily as its own mini index.
-/// Queries probe both generations and merge the results under the
-/// serving order (similarity desc, id asc) — correct because the
-/// signature filter is lossless per record pair, so searching two
-/// disjoint sub-collections equals searching their union. Refreeze
-/// compacts frozen + staging into a new immutable generation built
-/// off-lock and swapped in atomically via shared_ptr, exactly the
-/// memtable-flush / SST-compaction split of an LSM tree.
+/// Queries pin both generations as two slices of the collection and
+/// answer them through the one query path (SearchSlices in
+/// join/search.h) — correct because the signature filter is lossless
+/// per record pair, so searching two disjoint sub-collections equals
+/// searching their union. Refreeze compacts frozen + staging into a
+/// new immutable generation built off-lock and swapped in atomically
+/// via shared_ptr, exactly the memtable-flush / SST-compaction split of
+/// an LSM tree.
 ///
-/// Thread-safety: Append/Search/TopK/BatchSearch/Refreeze may all be
-/// called concurrently. A query takes the mutex only long enough to
-/// pin both generation pointers (building the staging mini index on
-/// first use after an append); verification runs lock-free on the
-/// pinned immutable snapshots. Refreeze runs the expensive rebuild
-/// outside the mutex, so queries and appends proceed during
-/// compaction; concurrent Refreeze calls serialise on their own mutex.
+/// Thread-safety: Append/Pin/Refreeze may all be called concurrently.
+/// Pin takes the mutex only long enough to pin both generation
+/// pointers (building the staging mini index on first use after an
+/// append); verification runs lock-free on the pinned immutable
+/// snapshots. Refreeze runs the expensive rebuild outside the mutex,
+/// so queries and appends proceed during compaction; concurrent
+/// Refreeze calls serialise on their own mutex.
 
 #ifndef AUJOIN_STORAGE_GENERATIONAL_INDEX_H_
 #define AUJOIN_STORAGE_GENERATIONAL_INDEX_H_
@@ -43,10 +44,6 @@ class WalWriter;
 
 class GenerationalIndex {
  public:
-  using Match = UnifiedSearcher::Match;
-  using SearchOptions = UnifiedSearcher::SearchOptions;
-  using QueryStats = UnifiedSearcher::QueryStats;
-
   /// Builds the initial frozen generation over `initial` (possibly
   /// empty). Unlike PreparedIndex, the generational index OWNS its
   /// records — generations keep them alive through shared_ptr so a
@@ -95,23 +92,14 @@ class GenerationalIndex {
   /// never collide.
   uint32_t Append(Record record);
 
-  /// All records (frozen + staging) with Approx USIM >= theta, merged
-  /// under the serving order (similarity desc, global id asc) — the
-  /// same contract as UnifiedSearcher::Search over the union
-  /// collection.
-  std::vector<Match> Search(const Record& query, const SearchOptions& options,
-                            QueryStats* stats = nullptr) const;
-
-  /// The k best matches with similarity >= min_theta under the serving
-  /// order; byte-identical to the k-prefix of Search's result.
-  std::vector<Match> TopK(const Record& query, size_t k, double min_theta,
-                          const SearchOptions& options,
-                          QueryStats* stats = nullptr) const;
-
-  /// Search for each query in order; stats accumulate across the batch.
-  std::vector<std::vector<Match>> BatchSearch(
-      const std::vector<Record>& queries, const SearchOptions& options,
-      QueryStats* stats = nullptr) const;
+  /// The slices a query is served from, pinned together: the frozen
+  /// generation (global ids from 0) and, when records are staged, the
+  /// staging generation (global ids from the frozen record count). An
+  /// append since the last pin makes this call build the staging mini
+  /// index first and add its seconds to `*built_seconds`. Each searcher
+  /// keeps its generation alive, so a refreeze swap never invalidates a
+  /// query in flight. Search them with SearchSlices.
+  std::vector<UnifiedSearcher> Pin(double* built_seconds = nullptr) const;
 
   /// Compacts frozen + staging into a new frozen generation. The
   /// rebuild runs outside the serving mutex (queries and appends
@@ -148,22 +136,9 @@ class GenerationalIndex {
     std::shared_ptr<const PreparedIndex> index;
   };
 
-  /// Pins (frozen, staging) under the mutex; builds the staging mini
-  /// index first if an append invalidated it. The staging entry is
-  /// null when the staging buffer is empty.
-  void Pin(std::shared_ptr<const Generation>* frozen,
-           std::shared_ptr<const Generation>* staging) const;
-
   static std::shared_ptr<const Generation> BuildGeneration(
       const Knowledge& knowledge, const MsimOptions& msim,
       std::vector<Record> records);
-
-  /// Merges two per-generation result lists (already sorted by the
-  /// serving order) into one, offsetting staging ids by the frozen
-  /// record count.
-  static std::vector<Match> MergeMatches(std::vector<Match> frozen,
-                                         std::vector<Match> staging,
-                                         uint32_t staging_offset);
 
   Knowledge knowledge_;
   MsimOptions msim_;

@@ -4,6 +4,7 @@
 // thread-count invariance under partitioning, and early termination.
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -14,8 +15,8 @@
 #include "datagen/corpus_gen.h"
 #include "datagen/synonym_gen.h"
 #include "datagen/taxonomy_gen.h"
-#include "join/partition.h"
 #include "join/pipeline.h"
+#include "shard/shard_plan.h"
 #include "test_fixtures.h"
 
 namespace aujoin {
@@ -25,35 +26,41 @@ using PairVec = std::vector<std::pair<uint32_t, uint32_t>>;
 
 // ------------------------------------------------------- partition plan
 
+// Partition mode lowers onto range shards (ShardPlan::Bounded); these
+// cases pin the plan shape it gets.
+
 TEST(PartitionPlanTest, ZeroBoundIsOneMonolithicPartition) {
-  PartitionPlan plan = PartitionPlan::Shard(100, 0);
-  ASSERT_EQ(plan.num_partitions(), 1u);
-  EXPECT_EQ(plan.partitions[0].begin, 0u);
-  EXPECT_EQ(plan.partitions[0].end, 100u);
+  ShardPlan plan = ShardPlan::Bounded(100, 0);
+  ASSERT_EQ(plan.num_shards(), 1u);
+  EXPECT_EQ(plan.shard_ids[0].front(), 0u);
+  EXPECT_EQ(plan.shard_ids[0].back(), 99u);
 }
 
 TEST(PartitionPlanTest, BoundAtOrAboveSizeIsOnePartition) {
-  EXPECT_EQ(PartitionPlan::Shard(100, 100).num_partitions(), 1u);
-  EXPECT_EQ(PartitionPlan::Shard(100, 1000).num_partitions(), 1u);
+  EXPECT_EQ(ShardPlan::Bounded(100, 100).num_shards(), 1u);
+  EXPECT_EQ(ShardPlan::Bounded(100, 1000).num_shards(), 1u);
 }
 
 TEST(PartitionPlanTest, EmptyCollectionHasNoPartitions) {
-  EXPECT_EQ(PartitionPlan::Shard(0, 10).num_partitions(), 0u);
+  EXPECT_EQ(ShardPlan::Bounded(0, 10).num_shards(), 0u);
 }
 
 TEST(PartitionPlanTest, ShardsAreContiguousBoundedAndBalanced) {
   for (size_t n : {1u, 7u, 64u, 100u, 1001u}) {
     for (size_t max : {1u, 3u, 10u, 63u, 64u}) {
-      PartitionPlan plan = PartitionPlan::Shard(n, max);
+      ShardPlan plan = ShardPlan::Bounded(n, max);
+      EXPECT_TRUE(plan.contiguous);
+      EXPECT_EQ(plan.shard_by, ShardBy::kRange);
       uint32_t expect_begin = 0;
-      uint32_t min_size = UINT32_MAX, max_size = 0;
-      for (const Partition& p : plan.partitions) {
-        EXPECT_EQ(p.begin, expect_begin);
-        EXPECT_GT(p.size(), 0u);
-        EXPECT_LE(p.size(), max) << "n=" << n << " max=" << max;
-        min_size = std::min(min_size, p.size());
-        max_size = std::max(max_size, p.size());
-        expect_begin = p.end;
+      size_t min_size = SIZE_MAX, max_size = 0;
+      for (const std::vector<uint32_t>& ids : plan.shard_ids) {
+        ASSERT_GT(ids.size(), 0u);
+        EXPECT_EQ(ids.front(), expect_begin);
+        EXPECT_EQ(ids.back() - ids.front() + 1, ids.size());
+        EXPECT_LE(ids.size(), max) << "n=" << n << " max=" << max;
+        min_size = std::min(min_size, ids.size());
+        max_size = std::max(max_size, ids.size());
+        expect_begin = ids.back() + 1;
       }
       EXPECT_EQ(expect_begin, n);
       // Balanced: no shard more than one record larger than another.

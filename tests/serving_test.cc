@@ -1,14 +1,19 @@
 // The Engine serving subsystem: online Search/TopK/BatchSearch over
 // the shared immutable PreparedIndex. Covers the search/join parity
 // contract on the checked-in data/ fixture (a search for each record
-// must agree with the unified self-join restricted to that record) and
+// must agree with the unified self-join restricted to that record),
 // concurrent queries on one engine (the suite runs under TSan in CI —
-// see the sanitize job's ctest filter).
+// see the sanitize job's ctest filter), and one meaning of the
+// SearchStats timings on every serving store and entry point.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -213,6 +218,121 @@ TEST_F(ServingFixtureTest, SearchBeforeSetRecordsFailsCleanly) {
   EXPECT_FALSE(engine.TopK(query, 0, {}).ok());
   EXPECT_FALSE(engine.ServingIndex().ok());
 }
+
+// --- SearchStats timings: one definition on every store -------------
+
+enum class ServingStore { kMonolithic, kSharded, kAppend };
+
+/// search_seconds is the whole call; index_seconds is the one-time
+/// prepare + freeze (or mount) that the call paid for, so it is
+/// positive on a fresh engine's first call, never above search_seconds,
+/// and zero once everything is built.
+class ServingStatsTest : public ServingFixtureTest,
+                         public ::testing::WithParamInterface<ServingStore> {
+ protected:
+  ServingStatsTest()
+      : wal_path_(::testing::TempDir() + "aujoin_serving_stats." +
+                  std::to_string(::getpid()) + ".wal") {
+    const std::vector<Record>& records = dataset_->records;
+    base_.assign(records.begin(), records.begin() + records.size() / 2);
+  }
+
+  ~ServingStatsTest() override { std::remove(wal_path_.c_str()); }
+
+  /// A fresh engine of the store under test (nothing built yet, except
+  /// the append store's base, which EnableAppend prepares), on two
+  /// threads so shards build in parallel.
+  Engine MakeStoreEngine() {
+    EngineBuilder builder;
+    builder.SetKnowledge(dataset_->knowledge())
+        .SetMeasures("TJS")
+        .SetQ(3)
+        .SetThreads(2);
+    if (GetParam() == ServingStore::kSharded) builder.SetNumShards(3);
+    Engine engine = builder.Build();
+    if (GetParam() != ServingStore::kAppend) {
+      engine.SetRecords(dataset_->records);
+      return engine;
+    }
+    // The append store: half the records bound as the base, the rest
+    // appended (staged, their mini index not yet built).
+    engine.SetRecords(base_);
+    std::remove(wal_path_.c_str());
+    TokenizerOptions tokenizer;
+    tokenizer.split_punctuation = true;
+    Status enabled = engine.EnableAppend(
+        wal_path_, [tokenizer](const std::string& text) {
+          return MakeRecord(0, text, &dataset_->vocab, tokenizer);
+        });
+    EXPECT_TRUE(enabled.ok()) << enabled.ToString();
+    for (size_t i = base_.size(); i < dataset_->records.size(); ++i) {
+      EXPECT_TRUE(engine.Append(dataset_->records[i].text).ok());
+    }
+    return engine;
+  }
+
+  std::string wal_path_;
+  std::vector<Record> base_;
+};
+
+TEST_P(ServingStatsTest, FirstCallPaysTheIndexWorkLaterCallsPayNothing) {
+  EngineSearchOptions options;
+  options.theta = kTheta;
+  const Record& query = dataset_->records[0];
+  const char* const kEntryPoints[] = {"Search", "TopK", "streaming Search",
+                                      "BatchSearch"};
+  auto call = [&](int entry_point, Engine& engine, SearchStats* stats) {
+    CountingSink sink;
+    switch (entry_point) {
+      case 0:
+        return engine.Search(query, options, stats).status();
+      case 1:
+        return engine.TopK(query, 3, options, stats).status();
+      case 2:
+        return engine.Search(query, options, &sink, stats);
+      default:
+        return engine.BatchSearch(dataset_->records, options, &sink, stats);
+    }
+  };
+  // Every entry point, each on a fresh engine of the store.
+  for (int e = 0; e < 4; ++e) {
+    const char* name = kEntryPoints[e];
+    Engine engine = MakeStoreEngine();
+    SearchStats first;
+    ASSERT_TRUE(call(e, engine, &first).ok()) << name;
+    EXPECT_GT(first.index_seconds, 0.0) << name;
+    EXPECT_LE(first.index_seconds, first.search_seconds) << name;
+    if (GetParam() == ServingStore::kMonolithic) {
+      // All of the one index's work: its prepare and its CSR freeze.
+      Result<std::shared_ptr<const PreparedIndex>> index =
+          engine.ServingIndex();
+      ASSERT_TRUE(index.ok());
+      EXPECT_DOUBLE_EQ(first.index_seconds, (*index)->prepare_seconds() +
+                                                (*index)->index_seconds())
+          << name;
+    }
+    SearchStats second;
+    ASSERT_TRUE(call(e, engine, &second).ok()) << name;
+    EXPECT_EQ(second.index_seconds, 0.0) << name;
+    EXPECT_GT(second.search_seconds, 0.0) << name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Stores, ServingStatsTest,
+    ::testing::Values(ServingStore::kMonolithic, ServingStore::kSharded,
+                      ServingStore::kAppend),
+    [](const ::testing::TestParamInfo<ServingStore>& info) {
+      switch (info.param) {
+        case ServingStore::kMonolithic:
+          return std::string("Monolithic");
+        case ServingStore::kSharded:
+          return std::string("Sharded");
+        case ServingStore::kAppend:
+          return std::string("Append");
+      }
+      return std::string();
+    });
 
 }  // namespace
 }  // namespace aujoin

@@ -1,7 +1,8 @@
 // Tests for first-class shards: shard-plan invariants, exact
 // sharded-vs-monolithic join parity across every registry algorithm and
-// both placement schemes (the PR's acceptance criterion), scatter-gather
-// serving parity (similarity values included), per-shard snapshot
+// both placement schemes, serving parity of every store — shards and
+// the append store — against the monolithic engine (similarity values
+// and stats counters included), per-shard snapshot
 // round trips with lazy mounting, the spill-to-disk out-of-core path
 // (parity, bounded buffering, no temp-file leaks, kill-point typed
 // errors), and concurrent sharded queries. Every suite name contains
@@ -27,7 +28,6 @@
 #include "datagen/corpus_gen.h"
 #include "datagen/synonym_gen.h"
 #include "datagen/taxonomy_gen.h"
-#include "join/partition.h"
 #include "shard/shard_plan.h"
 #include "shard/sharded_index.h"
 #include "storage/env.h"
@@ -43,6 +43,12 @@ using PairVec = std::vector<std::pair<uint32_t, uint32_t>>;
   do {                                               \
     const auto status_ = (expr);                     \
     ASSERT_TRUE(status_.ok()) << status_.ToString(); \
+  } while (0)
+
+#define EXPECT_OK(expr)                              \
+  do {                                               \
+    const auto status_ = (expr);                     \
+    EXPECT_TRUE(status_.ok()) << status_.ToString(); \
   } while (0)
 
 std::string TempPath(const std::string& name) {
@@ -129,19 +135,6 @@ TEST(ShardPlanTest, SingleShardIsContiguousUnderBothSchemes) {
     EXPECT_TRUE(plan.contiguous);
     ASSERT_EQ(plan.num_shards(), 1u);
     EXPECT_EQ(plan.shard_ids[0].size(), 10u);
-  }
-}
-
-TEST(ShardPlanTest, FromPartitionsLiftsThePartitionPlan) {
-  PartitionPlan partitions = PartitionPlan::Shard(10, 4);
-  ShardPlan plan = ShardPlan::FromPartitions(partitions, 10);
-  EXPECT_TRUE(plan.contiguous);
-  ASSERT_EQ(plan.num_shards(), partitions.num_partitions());
-  for (size_t p = 0; p < partitions.num_partitions(); ++p) {
-    const Partition& part = partitions.partitions[p];
-    ASSERT_EQ(plan.shard_ids[p].size(), part.size());
-    EXPECT_EQ(plan.shard_ids[p].front(), part.begin);
-    EXPECT_EQ(plan.shard_ids[p].back(), part.end - 1);
   }
 }
 
@@ -367,50 +360,168 @@ TEST(ShardCorpusTest, GeneratedCorpusShardParityAcrossAlgorithms) {
 
 // --------------------------------------------------- serving parity
 
-class ShardServingTest : public ShardJoinTest {};
+/// Serving parity over every store: range and hash shards, and the
+/// append store (the first half of the records bound, the rest appended
+/// through the WAL), both staged and after Refreeze. Each must answer
+/// exactly like the monolithic engine, and report the same counters.
+class ShardServingTest : public ShardJoinTest {
+ protected:
+  struct Store {
+    std::string name;
+    Engine engine;
+    /// What SearchStats::shards must report.
+    uint64_t shards = 0;
+    /// One slice over the whole collection: the same index as the
+    /// monolithic engine's, so the same candidate counts too. (Split
+    /// stores select each slice's query signature under that slice's
+    /// own global order, so their candidate counts legitimately
+    /// differ; only their results may not.)
+    bool whole = false;
+  };
+
+  ShardServingTest()
+      : base_(records_.begin(), records_.begin() + records_.size() / 2) {}
+
+  ~ShardServingTest() override {
+    for (const std::string& path : wal_paths_) std::remove(path.c_str());
+  }
+
+  Engine MakeAppendEngine(int num_threads, bool refreeze) {
+    Engine engine = EngineBuilder()
+                        .SetKnowledge(world_.knowledge())
+                        .SetMeasures("TJS")
+                        .SetQ(2)
+                        .SetThreads(num_threads)
+                        .Build();
+    engine.SetRecords(base_);
+    wal_paths_.push_back(
+        TempPath("serving" + std::to_string(wal_paths_.size()) + ".wal"));
+    Status enabled = engine.EnableAppend(
+        wal_paths_.back(),
+        [this](const std::string& text) { return world_.MakeRec(0, text); });
+    EXPECT_TRUE(enabled.ok()) << enabled.ToString();
+    for (size_t i = base_.size(); i < texts_.size(); ++i) {
+      Result<uint32_t> id = engine.Append(texts_[i]);
+      EXPECT_TRUE(id.ok() && *id == i) << "append " << i;
+    }
+    if (refreeze) {
+      EXPECT_TRUE(engine.Refreeze().ok());
+    }
+    return engine;
+  }
+
+  /// `shard_counts` × both placement schemes, then the append store
+  /// staged and refrozen.
+  std::vector<Store> Stores(std::initializer_list<size_t> shard_counts,
+                            int num_threads) {
+    std::vector<Store> stores;
+    for (size_t shards : shard_counts) {
+      for (ShardBy by : {ShardBy::kRange, ShardBy::kHash}) {
+        stores.push_back({"shards=" + std::to_string(shards) +
+                              " by=" + ShardByName(by),
+                          MakeEngine(shards, by, num_threads), shards,
+                          shards == 1});
+      }
+    }
+    stores.push_back(
+        {"append staged", MakeAppendEngine(num_threads, false), 0, false});
+    stores.push_back(
+        {"append refrozen", MakeAppendEngine(num_threads, true), 0, true});
+    return stores;
+  }
+
+  /// The counters a store shares with the monolithic engine.
+  static void ExpectSameCounters(const SearchStats& got,
+                                 const SearchStats& mono,
+                                 const Store& store) {
+    EXPECT_EQ(got.queries, mono.queries) << store.name;
+    EXPECT_EQ(got.results, mono.results) << store.name;
+    EXPECT_EQ(got.shards, store.shards) << store.name;
+    if (store.whole) {
+      EXPECT_EQ(got.query_candidates, mono.query_candidates) << store.name;
+    } else {
+      EXPECT_GE(got.query_candidates, got.results) << store.name;
+    }
+  }
+
+  std::vector<Record> base_;
+  std::vector<std::string> wal_paths_;
+};
 
 TEST_F(ShardServingTest, SearchMatchesMonolithicIncludingSimilarities) {
   Engine monolithic = MakeEngine(0);
   EngineSearchOptions options;
   options.theta = 0.5;
   options.tau = 1;
-  for (size_t shards : {1u, 2u, 4u, 7u}) {
-    for (ShardBy by : {ShardBy::kRange, ShardBy::kHash}) {
-      Engine sharded = MakeEngine(shards, by, 0);
-      for (const Record& query : records_) {
-        Result<std::vector<UnifiedSearcher::Match>> mono =
-            monolithic.Search(query, options);
-        SearchStats stats;
-        Result<std::vector<UnifiedSearcher::Match>> shard =
-            sharded.Search(query, options, &stats);
-        ASSERT_OK(mono.status());
-        ASSERT_OK(shard.status());
-        // Match operator== covers (id, similarity): ranked order AND
-        // scores must agree exactly.
-        EXPECT_EQ(*shard, *mono)
-            << "query " << query.id << " shards=" << shards << " by="
-            << ShardByName(by);
-        EXPECT_EQ(stats.shards, shards);
-      }
+  for (Store& store : Stores({1, 2, 4, 7}, 0)) {
+    for (const Record& query : records_) {
+      SearchStats mono_stats;
+      Result<std::vector<UnifiedSearcher::Match>> mono =
+          monolithic.Search(query, options, &mono_stats);
+      SearchStats stats;
+      Result<std::vector<UnifiedSearcher::Match>> got =
+          store.engine.Search(query, options, &stats);
+      ASSERT_OK(mono.status());
+      ASSERT_OK(got.status());
+      // Match operator== covers (id, similarity): ranked order AND
+      // scores must agree exactly.
+      EXPECT_EQ(*got, *mono) << "query " << query.id << " " << store.name;
+      ExpectSameCounters(stats, mono_stats, store);
+    }
+  }
+}
+
+TEST_F(ShardServingTest, StreamingSearchMatchesMonolithic) {
+  Engine monolithic = MakeEngine(0);
+  EngineSearchOptions options;
+  options.theta = 0.5;
+  options.tau = 1;
+  auto stream = [&](Engine& engine, const Record& query, SearchStats* stats) {
+    PairVec pairs;
+    CallbackSink sink([&](uint32_t a, uint32_t b) {
+      pairs.emplace_back(a, b);
+      return true;
+    });
+    EXPECT_OK(engine.Search(query, options, &sink, stats));
+    return pairs;
+  };
+  for (Store& store : Stores({2, 4}, 0)) {
+    for (const Record& query : records_) {
+      SearchStats mono_stats;
+      PairVec mono = stream(monolithic, query, &mono_stats);
+      SearchStats stats;
+      PairVec got = stream(store.engine, query, &stats);
+      EXPECT_EQ(got, mono) << "query " << query.id << " " << store.name;
+      ExpectSameCounters(stats, mono_stats, store);
     }
   }
 }
 
 TEST_F(ShardServingTest, TopKMatchesTheMonolithicPrefix) {
   Engine monolithic = MakeEngine(0);
-  Engine sharded = MakeEngine(4, ShardBy::kHash);
   EngineSearchOptions options;
   options.theta = 0.4;
   options.tau = 1;
-  for (const Record& query : records_) {
-    for (size_t k : {1u, 2u, 3u, 100u}) {
-      Result<std::vector<UnifiedSearcher::Match>> mono =
-          monolithic.TopK(query, k, options);
-      Result<std::vector<UnifiedSearcher::Match>> shard =
-          sharded.TopK(query, k, options);
-      ASSERT_OK(mono.status());
-      ASSERT_OK(shard.status());
-      EXPECT_EQ(*shard, *mono) << "query " << query.id << " k=" << k;
+  for (Store& store : Stores({1, 4}, 1)) {
+    for (const Record& query : records_) {
+      for (size_t k : {0u, 1u, 2u, 3u, 100u}) {
+        SearchStats mono_stats;
+        Result<std::vector<UnifiedSearcher::Match>> mono =
+            monolithic.TopK(query, k, options, &mono_stats);
+        SearchStats stats;
+        Result<std::vector<UnifiedSearcher::Match>> got =
+            store.engine.TopK(query, k, options, &stats);
+        ASSERT_OK(mono.status());
+        ASSERT_OK(got.status());
+        EXPECT_EQ(*got, *mono)
+            << "query " << query.id << " k=" << k << " " << store.name;
+        ExpectSameCounters(stats, mono_stats, store);
+        if (k == 0) {
+          // Still one query, answered with nothing.
+          EXPECT_TRUE(got->empty()) << store.name;
+          EXPECT_EQ(stats.queries, 1u) << store.name;
+        }
+      }
     }
   }
 }
@@ -439,17 +550,11 @@ TEST_F(ShardServingTest, BatchSearchMatchesMonolithic) {
   auto mono = run_batch(monolithic, &mono_stats);
   ASSERT_FALSE(mono.first.empty());
 
-  for (size_t shards : {2u, 4u, 7u}) {
-    for (ShardBy by : {ShardBy::kRange, ShardBy::kHash}) {
-      Engine sharded = MakeEngine(shards, by, 0);
-      SearchStats stats;
-      auto shard = run_batch(sharded, &stats);
-      EXPECT_EQ(shard, mono)
-          << "shards=" << shards << " by=" << ShardByName(by);
-      EXPECT_EQ(stats.shards, shards);
-      EXPECT_EQ(stats.queries, mono_stats.queries);
-      EXPECT_EQ(stats.results, mono_stats.results);
-    }
+  for (Store& store : Stores({2, 4, 7}, 0)) {
+    SearchStats stats;
+    auto got = run_batch(store.engine, &stats);
+    EXPECT_EQ(got, mono) << store.name;
+    ExpectSameCounters(stats, mono_stats, store);
   }
 }
 
@@ -560,13 +665,23 @@ TEST_F(ShardSnapshotTest, TamperedShardFileIsTypedAtFirstProbe) {
   EXPECT_EQ(damaged.status().code(), StatusCode::kCorruption);
 
   // A full query (which scatters to every shard) surfaces the same
-  // typed error instead of serving partial results.
+  // typed error instead of serving partial results — on a single query
+  // and on a batch alike.
   EngineSearchOptions options;
   options.theta = 0.5;
   Result<std::vector<UnifiedSearcher::Match>> scattered =
       reader.Search(records_[0], options);
   ASSERT_FALSE(scattered.ok());
   EXPECT_EQ(scattered.status().code(), StatusCode::kCorruption);
+  uint64_t emitted = 0;
+  Status batch = reader.BatchSearch(
+      records_, options, [&](uint32_t, const UnifiedSearcher::Match&) {
+        ++emitted;
+        return true;
+      });
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.code(), StatusCode::kCorruption);
+  EXPECT_EQ(emitted, 0u) << "a failed batch must not emit partial results";
 
   std::remove(path.c_str());
   for (size_t s = 0; s < 2; ++s) {

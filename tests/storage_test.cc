@@ -375,8 +375,8 @@ class GenerationalIndexTest : public ::testing::Test {
     dataset_ = std::make_unique<Dataset>(std::move(*loaded));
   }
 
-  GenerationalIndex::SearchOptions Options() const {
-    GenerationalIndex::SearchOptions options;
+  UnifiedSearcher::SearchOptions Options() const {
+    UnifiedSearcher::SearchOptions options;
     options.theta = kTheta;
     options.tau = 1;
     return options;
@@ -410,7 +410,8 @@ TEST_F(GenerationalIndexTest, StagingProbeEqualsScratchBuildOverTheUnion) {
     std::vector<UnifiedSearcher::Match> expected =
         reference.Search(query, options);
     // BEFORE refreeze: merged staging + frozen probe.
-    EXPECT_EQ(generational.Search(query, Options()), expected)
+    EXPECT_EQ(SearchSlices(query, kAllMatches, Options(), generational.Pin()),
+              expected)
         << "staged probe diverged for query " << query.id;
     any_matches = any_matches || !expected.empty();
   }
@@ -422,7 +423,7 @@ TEST_F(GenerationalIndexTest, StagingProbeEqualsScratchBuildOverTheUnion) {
   EXPECT_EQ(generational.num_frozen(), records.size());
   EXPECT_EQ(generational.num_staged(), 0u);
   for (const Record& query : records) {
-    EXPECT_EQ(generational.Search(query, Options()),
+    EXPECT_EQ(SearchSlices(query, kAllMatches, Options(), generational.Pin()),
               reference.Search(query, options))
         << "refrozen probe diverged for query " << query.id;
   }
@@ -440,12 +441,12 @@ TEST_F(GenerationalIndexTest, TopKEqualsTheKPrefixOfSearch) {
     generational.Append(records[i]);
   }
   for (const Record& query : records) {
-    std::vector<GenerationalIndex::Match> all =
-        generational.Search(query, Options());
+    std::vector<UnifiedSearcher::Match> all =
+        SearchSlices(query, kAllMatches, Options(), generational.Pin());
     for (size_t k = 0; k <= all.size() + 1; ++k) {
-      std::vector<GenerationalIndex::Match> top =
-          generational.TopK(query, k, kTheta, Options());
-      std::vector<GenerationalIndex::Match> expected(
+      std::vector<UnifiedSearcher::Match> top =
+          SearchSlices(query, k, Options(), generational.Pin());
+      std::vector<UnifiedSearcher::Match> expected(
           all.begin(), all.begin() + std::min(k, all.size()));
       EXPECT_EQ(top, expected) << "query " << query.id << " k=" << k;
     }
@@ -456,8 +457,9 @@ TEST_F(GenerationalIndexTest, EmptyInitialGenerationServes) {
   GenerationalIndex generational(dataset_->knowledge(), MsimOptions{.q = 3},
                                  {});
   EXPECT_EQ(generational.size(), 0u);
-  EXPECT_TRUE(
-      generational.Search(dataset_->records[0], Options()).empty());
+  EXPECT_TRUE(SearchSlices(dataset_->records[0], kAllMatches, Options(),
+                           generational.Pin())
+                  .empty());
   for (const Record& r : dataset_->records) generational.Append(r);
   generational.Refreeze();
   auto scratch = PreparedIndex::Build(dataset_->knowledge(),
@@ -481,8 +483,10 @@ TEST_F(GenerationalIndexTest, ConcurrentQueriesDuringRefreezeAreClean) {
     readers.emplace_back([&] {
       size_t q = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        generational.Search(records[q % records.size()], Options());
-        generational.TopK(records[q % records.size()], 3, kTheta, Options());
+        SearchSlices(records[q % records.size()], kAllMatches, Options(),
+                     generational.Pin());
+        SearchSlices(records[q % records.size()], 3, Options(),
+                     generational.Pin());
         served.fetch_add(1, std::memory_order_relaxed);
         ++q;
       }

@@ -997,7 +997,7 @@ TEST(WalConcurrencyTest, AppendsRaceQueriesAndRefreezeThenRecoverInParity) {
   ASSERT_OK(wal.status());
   generational.AttachWal(wal->get());
 
-  GenerationalIndex::SearchOptions options;
+  UnifiedSearcher::SearchOptions options;
   options.theta = 0.5;
   options.tau = 1;
 
@@ -1025,8 +1025,8 @@ TEST(WalConcurrencyTest, AppendsRaceQueriesAndRefreezeThenRecoverInParity) {
     queriers.emplace_back([&] {
       while (!done.load()) {
         for (const Record& query : queries) {
-          std::vector<GenerationalIndex::Match> matches =
-              generational.Search(query, options);
+          std::vector<UnifiedSearcher::Match> matches = SearchSlices(
+              query, kAllMatches, options, generational.Pin());
           // Sanity under the race: serving order and id bounds hold on
           // every intermediate state. (Exact parity is checked once the
           // dust settles.)
@@ -1061,7 +1061,7 @@ TEST(WalConcurrencyTest, AppendsRaceQueriesAndRefreezeThenRecoverInParity) {
       PreparedIndex::Build(world.knowledge(), Msim(), union_records, nullptr);
   UnifiedSearcher reference(scratch);
   for (const Record& query : queries) {
-    EXPECT_EQ(generational.Search(query, options),
+    EXPECT_EQ(SearchSlices(query, kAllMatches, options, generational.Pin()),
               reference.Search(query, options));
   }
 

@@ -688,22 +688,16 @@ int RunQuery(const Flags& flags) {
     run.theta = options.theta;
     run.tau = options.tau;
     if (engine.append_mode()) {
-      // The generational frozen index is the serving base; asking
-      // ServingIndex() here would force a redundant rebuild.
-      run.stats.prepare_seconds =
-          engine.generational_index()->frozen_index()->prepare_seconds();
       run.num_records = engine.generational_index()->size();
       run.has_wal = true;
       run.wal_recovery_seconds = wal_recovery_seconds;
       run.wal_recovered_records = engine.wal_recovered_records();
       std::ifstream probe(wal_path, std::ios::binary | std::ios::ate);
       if (probe) run.wal_bytes = static_cast<uint64_t>(probe.tellg());
-    } else {
-      Result<std::shared_ptr<const PreparedIndex>> index =
-          engine.ServingIndex();
-      run.stats.prepare_seconds =
-          index.ok() ? (*index)->prepare_seconds() : 0.0;
     }
+    // The build cost comes from the serving stats alone: index_seconds
+    // is the prepare + CSR freeze (or shard mount) this batch paid, and
+    // it is already inside search_seconds, the whole BatchSearch call.
     run.stats.index_seconds = stats.index_seconds;
     run.stats.queries = stats.queries;
     run.stats.query_candidates = stats.query_candidates;
@@ -713,8 +707,7 @@ int RunQuery(const Flags& flags) {
     // run from a rebuilt one without parsing stderr.
     run.index_source = engine.index_source();
     run.snapshot_load_ms = engine.snapshot_load_seconds() * 1000.0;
-    // search_seconds already covers any serving-index build it forced.
-    run.total_seconds = run.stats.prepare_seconds + stats.search_seconds;
+    run.total_seconds = stats.search_seconds;
     run.wall_seconds = wall_seconds;
     report.runs.push_back(run);
     if (!WriteCliReport(report, stats_out)) return 1;

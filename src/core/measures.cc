@@ -6,30 +6,15 @@
 
 #include "kernels/kernels.h"
 #include "text/qgram.h"
-#include "util/aligned_buffer.h"
 
 namespace aujoin {
 namespace {
 
-/// |a ∩ b| of two ascending distinct gram-id sets through the
-/// dispatched intersection kernel. The matched ids land in a
-/// thread_local aligned scratch reused across every candidate pair the
-/// thread verifies — the verify stage allocates nothing per pair.
+/// |a ∩ b| of two ascending distinct gram-id sets; the verify stage
+/// allocates nothing per pair.
 size_t SortedIdIntersectionSize(const std::vector<uint32_t>& a,
                                 const std::vector<uint32_t>& b) {
-  // The kernel emits (and bounds its output by) the first argument;
-  // probing with the smaller side lets it gallop over the larger one.
-  // Symmetric for distinct inputs, so the swap cannot change the count.
-  const std::vector<uint32_t>& probe = a.size() <= b.size() ? a : b;
-  const std::vector<uint32_t>& base = a.size() <= b.size() ? b : a;
-  thread_local AlignedBuffer<uint32_t> scratch;
-  if (scratch.size() < probe.size() + kKernelLaneSlack) {
-    scratch.Resize(probe.size() + kKernelLaneSlack);
-  }
-  uint32_t* end =
-      ActiveKernel().intersect_sorted(probe.data(), probe.size(), base.data(),
-                                      base.size(), scratch.data());
-  return static_cast<size_t>(end - scratch.data());
+  return SortedIntersectionSize(a.data(), a.size(), b.data(), b.size());
 }
 
 // The gram-measure formulas over id sets, with the same empty-input
@@ -111,7 +96,7 @@ const std::vector<uint32_t>& MsimEvaluator::GramIdsFor(const Record& r,
     ids.push_back(pos->second);
   }
   // QGrams dedupes, so the ids are distinct; sorting makes the set a
-  // valid kernel input (ascending).
+  // valid SortedIntersectionSize input (ascending).
   std::sort(ids.begin(), ids.end());
   auto [ins, _] = gram_cache_.emplace(key, std::move(ids));
   return ins->second;

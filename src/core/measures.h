@@ -63,9 +63,9 @@ struct MsimOptions {
 /// a segment pair). Segment surface text is cut into q-grams once, the
 /// grams interned to dense uint32 ids through a per-evaluator dictionary,
 /// and the sorted id sets cached — so the hot O(|ps|·|pt|) overlap loop of
-/// a join runs the dispatched sorted-set-intersection kernel
-/// (kernels/kernels.h) over flat integer arrays instead of comparing
-/// strings. Not thread-safe; create one per thread.
+/// a join runs a sorted-set intersection (kernels/kernels.h) over flat
+/// integer arrays instead of comparing strings. Not thread-safe; create
+/// one per thread.
 class MsimEvaluator {
  public:
   MsimEvaluator(const Knowledge& knowledge, const MsimOptions& options)

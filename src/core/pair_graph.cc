@@ -44,8 +44,8 @@ PairGraph BuildPairGraph(const Record& s, const Record& t,
     g.vertices.resize(options.max_vertices);
   }
 
-  // Flat weight mirrors for the accumulate_weights kernel (after the
-  // cap, so they index the surviving vertices).
+  // Flat weight mirrors for AccumulateWeights (after the cap, so they
+  // index the surviving vertices).
   g.SyncWeightArrays();
 
   g.adj.resize(g.vertices.size());

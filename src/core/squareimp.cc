@@ -14,9 +14,9 @@ struct LocalSearch {
   const PairGraph& g;
   const SquareImpOptions& opts;
   std::vector<char> in_set;
-  // Squared weights indexed by vertex, gathered through the dispatched
-  // accumulate_weights kernel. BuildPairGraph keeps the graph's own
-  // mirror in sync; hand-built graphs (tests) get a local copy.
+  // Squared weights indexed by vertex, gathered through
+  // AccumulateWeights. BuildPairGraph keeps the graph's own mirror in
+  // sync; hand-built graphs (tests) get a local copy.
   std::vector<double> local_sq;
   const double* wsq;
 
@@ -49,12 +49,11 @@ struct LocalSearch {
       consider(u);
       for (uint32_t v : g.adj[u]) consider(v);
     }
-    return ActiveKernel().accumulate_weights(wsq, removed->data(),
-                                             removed->size());
+    return AccumulateWeights(wsq, removed->data(), removed->size());
   }
 
   double SquaredWeight(const std::vector<uint32_t>& vs) const {
-    return ActiveKernel().accumulate_weights(wsq, vs.data(), vs.size());
+    return AccumulateWeights(wsq, vs.data(), vs.size());
   }
 
   // Applies T <- A ∪ talons \ N(talons, A).
@@ -166,8 +165,7 @@ std::vector<uint32_t> SquareImp(const PairGraph& g,
 double IndependentSetWeight(const PairGraph& g,
                             const std::vector<uint32_t>& set) {
   if (g.WeightArraysSynced()) {
-    return ActiveKernel().accumulate_weights(g.weights.data(), set.data(),
-                                             set.size());
+    return AccumulateWeights(g.weights.data(), set.data(), set.size());
   }
   double sum = 0.0;
   for (uint32_t v : set) sum += g.vertices[v].weight;

@@ -77,7 +77,7 @@ std::vector<Match> UnifiedSearcher::Probe(const Record& query,
     overlap.BumpRun(runs[k].data, runs[k].size);
   }
   // Query signatures carry one uniform effective tau, so the survivor
-  // scan is the kernel's flat count >= threshold select.
+  // scan is a flat count >= threshold select.
   CandidateAccumulator::IdSpan kept =
       overlap.SelectGE(static_cast<uint32_t>(sig.effective_tau));
   std::vector<uint32_t> candidates(kept.begin(), kept.end());

@@ -1,82 +1,29 @@
 #include "kernels/kernels.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
-#include "kernels/kernels_internal.h"
-
 namespace aujoin {
-namespace {
 
-// ------------------------------------------------------------- scalar
-// The semantics-defining implementations: every vector variant must
-// produce byte-identical outputs (ids, order, counts) to these.
-
-uint32_t* ScalarCountMergeRun(uint64_t* stamps, uint32_t epoch,
-                              const uint32_t* ids, size_t n,
-                              uint32_t* touched_tail) {
-  const uint64_t fresh = (static_cast<uint64_t>(epoch) << 32) | 1u;
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t id = ids[i];
-    const uint64_t st = stamps[id];
-    if (static_cast<uint32_t>(st >> 32) != epoch) {
-      stamps[id] = fresh;
-      *touched_tail++ = id;
-    } else {
-      stamps[id] = st + 1;
-    }
-  }
-  return touched_tail;
-}
-
-uint32_t* ScalarSelectGe(const uint64_t* stamps, uint32_t threshold,
-                         const uint32_t* touched, size_t n, uint32_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t id = touched[i];
-    if (static_cast<uint32_t>(stamps[id]) >= threshold) *out++ = id;
-  }
-  return out;
-}
-
-uint32_t* ScalarSelectGeMerged(const uint64_t* stamps, const uint32_t* taus,
-                               uint32_t probe_tau, const uint32_t* touched,
-                               size_t n, uint32_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t id = touched[i];
-    const uint32_t required = taus[id] < probe_tau ? taus[id] : probe_tau;
-    if (static_cast<uint32_t>(stamps[id]) >= required) *out++ = id;
-  }
-  return out;
-}
-
-uint32_t* ScalarIntersectSorted(const uint32_t* a, size_t na,
-                                const uint32_t* b, size_t nb, uint32_t* out) {
+size_t SortedIntersectionSize(const uint32_t* a, size_t na, const uint32_t* b,
+                              size_t nb) {
+  size_t count = 0;
   size_t i = 0;
   size_t j = 0;
   while (i < na && j < nb) {
-    const uint32_t av = a[i];
-    const uint32_t bv = b[j];
-    if (av < bv) {
+    if (a[i] < b[j]) {
       ++i;
-    } else if (bv < av) {
+    } else if (b[j] < a[i]) {
       ++j;
     } else {
-      // Emit and advance only a: each duplicate of av in a matches
-      // (a's multiplicity is preserved, b's is ignored).
-      *out++ = av;
+      // Advance only a: each duplicate of a[i] in a matches (a's
+      // multiplicity is counted, b's is ignored).
+      ++count;
       ++i;
     }
   }
-  return out;
+  return count;
 }
 
-double ScalarAccumulateWeights(const double* weights, const uint32_t* idx,
-                               size_t n) {
-  // Four interleaved partial sums — the reduction order every vector
-  // variant reproduces exactly (one 4-lane accumulator, scalar tail
-  // continuing the same lanes), so sums are bit-identical across
-  // kernels.
+double AccumulateWeights(const double* weights, const uint32_t* idx,
+                         size_t n) {
   double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
   size_t i = 0;
   if (idx == nullptr) {
@@ -101,66 +48,9 @@ double ScalarAccumulateWeights(const double* weights, const uint32_t* idx,
   return (acc0 + acc2) + (acc1 + acc3);
 }
 
-// ----------------------------------------------------------- dispatch
-
-std::atomic<const KernelOps*> g_forced_kernel{nullptr};
-
-const KernelOps* BestSupportedKernel() {
-  // Later entries in AvailableKernels() are wider ISAs; prefer them.
-  const KernelOps* best = &ScalarKernel();
-  if (const KernelOps* neon = internal::NeonKernelOrNull()) best = neon;
-  if (const KernelOps* avx2 = internal::Avx2KernelOrNull()) best = avx2;
-  if (const KernelOps* avx512 = internal::Avx512KernelOrNull()) best = avx512;
-  return best;
-}
-
-}  // namespace
-
-const KernelOps& ScalarKernel() {
-  static constexpr KernelOps kScalarOps = {
-      "scalar",           KernelKind::kScalar,     &ScalarCountMergeRun,
-      &ScalarSelectGe,    &ScalarSelectGeMerged,   &ScalarIntersectSorted,
-      &ScalarAccumulateWeights};
-  return kScalarOps;
-}
-
-bool ForceScalarEnvRequested() {
-  const char* env = std::getenv("AUJOIN_FORCE_SCALAR");
-  return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
-}
-
-const KernelOps& ActiveKernel() {
-  const KernelOps* forced = g_forced_kernel.load(std::memory_order_acquire);
-  if (forced != nullptr) return *forced;
-  // Environment and CPUID cannot change mid-process; resolve once.
-  static const KernelOps* const selected =
-      ForceScalarEnvRequested() ? &ScalarKernel() : BestSupportedKernel();
-  return *selected;
-}
-
-std::vector<const KernelOps*> AvailableKernels() {
-  std::vector<const KernelOps*> kernels = {&ScalarKernel()};
-  if (const KernelOps* neon = internal::NeonKernelOrNull()) {
-    kernels.push_back(neon);
-  }
-  if (const KernelOps* avx2 = internal::Avx2KernelOrNull()) {
-    kernels.push_back(avx2);
-  }
-  if (const KernelOps* avx512 = internal::Avx512KernelOrNull()) {
-    kernels.push_back(avx512);
-  }
-  return kernels;
-}
-
-const KernelOps* FindKernelByName(const char* name) {
-  for (const KernelOps* kernel : AvailableKernels()) {
-    if (std::strcmp(kernel->name, name) == 0) return kernel;
-  }
-  return nullptr;
-}
-
-void ForceKernelForTesting(const KernelOps* kernel) {
-  g_forced_kernel.store(kernel, std::memory_order_release);
+const KernelInfo& ActiveKernel() {
+  static constexpr KernelInfo kScalar = {"scalar"};
+  return kScalar;
 }
 
 }  // namespace aujoin

@@ -1,136 +1,47 @@
 /// \file
-/// Runtime-dispatched hot-path kernels for candidate generation and
-/// verification. The CSR probe (index/csr_index.h) spends its time in
-/// two tight loops over flat arrays: merging a posting run into the
-/// epoch-stamped count scratch, and selecting the ids whose
-/// accumulated count meets the required overlap. The verify stage
-/// adds two more: sorted-set intersection over interned gram ids
-/// (measures.cc, the adaptjoin baseline) and strided weight
-/// accumulation over pair-graph vertices (squareimp.cc, usim.cc).
-/// All are packaged here as batch kernels with a portable scalar
-/// implementation plus vectorized variants (AVX2 and AVX-512 on
-/// x86-64, NEON on AArch64) selected once per process from CPU
-/// features — callers go through ActiveKernel() and never mention an
-/// ISA.
+/// The two flat-array loops of the verify stage, shared by every
+/// caller that runs them: sorted-set intersection over interned gram
+/// ids (measures.cc, the adaptjoin baseline) and weight accumulation
+/// over pair-graph vertices (squareimp.cc, usim.cc). The probe-side
+/// loops (count-merge and select) live on CandidateAccumulator in
+/// index/csr_index.h.
 ///
-/// Dispatch order: a ForceKernelForTesting override (parity tests and
-/// the scalar-vs-SIMD bench race) beats the AUJOIN_FORCE_SCALAR
-/// environment variable (any value except "0" pins the scalar
-/// fallback — the CI leg that keeps that path exercised), which beats
-/// the best variant the host supports. The scalar kernel is always
-/// registered, so dispatch cannot fail.
-///
-/// Data model shared by every kernel: one packed 64-bit stamp per
-/// record id, the probe epoch in the high 32 bits and the occurrence
-/// count in the low 32 (CandidateAccumulator owns the array). A stamp
-/// whose epoch half differs from the current probe's epoch is stale
-/// and reads as count 0 — starting a probe is O(1), no clearing.
+/// There is one implementation of each, in portable C++. The paper's
+/// speed comes from its filters (Lemmas 1–2) and Algorithm 1's early
+/// exit, not from vector instructions; docs/performance.md records the
+/// end-to-end measurement behind that choice.
 
 #ifndef AUJOIN_KERNELS_KERNELS_H_
 #define AUJOIN_KERNELS_KERNELS_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace aujoin {
 
-/// Instruction-set family of one kernel implementation.
-enum class KernelKind {
-  kScalar,  // portable C++, always available
-  kAvx2,    // x86-64 AVX2 (runtime CPUID-checked)
-  kNeon,    // AArch64 NEON (baseline on AArch64)
-  kAvx512,  // x86-64 AVX-512 F+VL (runtime CPUID-checked)
-};
+/// The number of elements of `a` that also occur in `b`, counted with
+/// a's multiplicity. Both inputs must be ascending (duplicates
+/// permitted; on deduplicated inputs this is the set intersection
+/// size).
+size_t SortedIntersectionSize(const uint32_t* a, size_t na, const uint32_t* b,
+                              size_t nb);
 
-/// Vector kernels append through full-width stores: the final lanes of
-/// a compressed block spill past the logical tail. Output buffers
-/// handed to the kernels must own this many writable (scratch) slots
-/// beyond the largest possible result.
-inline constexpr size_t kKernelLaneSlack = 16;
+/// The sum of weights[idx[i]] for i in [0, n), or of weights[i] when
+/// `idx` is nullptr (the contiguous case). The reduction order is
+/// fixed: four interleaved partial sums, lane i mod 4, folded as
+/// (acc0 + acc2) + (acc1 + acc3). Pinned similarity digests depend on
+/// these exact bits, so it must not become a plain running sum.
+double AccumulateWeights(const double* weights, const uint32_t* idx,
+                         size_t n);
 
-/// One kernel family: a name for reports, its ISA kind, the three
-/// batch operations of the count-merge probe, and the two batch
-/// operations of the verify stage. All operations are pure functions
-/// of their arguments (no hidden state), so one KernelOps may be used
-/// from any number of threads concurrently.
-struct KernelOps {
+/// Names the implementation for benchmark ledgers.
+struct KernelInfo {
   const char* name;
-  KernelKind kind;
-
-  /// Merges one posting run into the stamp array: ids whose stamp is
-  /// stale are stamped (epoch, count 1) and appended at touched_tail;
-  /// current ids get their count incremented. Returns the new tail.
-  /// `ids` are record ids < the stamp array's size, in any order
-  /// (CSR runs are sorted and distinct, but neither is required);
-  /// the touched buffer needs kKernelLaneSlack slots of headroom.
-  uint32_t* (*count_merge_run)(uint64_t* stamps, uint32_t epoch,
-                               const uint32_t* ids, size_t n,
-                               uint32_t* touched_tail);
-
-  /// Uniform required-overlap select (the serving path): appends to
-  /// `out` every id of `touched` whose count reaches `threshold`,
-  /// preserving order. Every id in `touched` must carry the current
-  /// epoch (they came from count_merge_run this probe). Returns the
-  /// new out tail; `out` needs kKernelLaneSlack slots of headroom.
-  uint32_t* (*select_ge)(const uint64_t* stamps, uint32_t threshold,
-                         const uint32_t* touched, size_t n, uint32_t* out);
-
-  /// Pairwise required-overlap select (the join path): id j survives
-  /// when its count reaches min(probe_tau, taus[j]) — the
-  /// MergeRequiredOverlap rule of join/signature.h with the indexed
-  /// side's effective taus in a flat array. Same contract as
-  /// select_ge otherwise.
-  uint32_t* (*select_ge_merged)(const uint64_t* stamps, const uint32_t* taus,
-                                uint32_t probe_tau, const uint32_t* touched,
-                                size_t n, uint32_t* out);
-
-  /// Sorted-set intersection (the verify path's gram-set overlap):
-  /// appends to `out` every element of `a`, in order and with a's
-  /// multiplicity, that also occurs in `b`. Both inputs must be
-  /// ascending (duplicates permitted; on deduplicated inputs this is
-  /// plain set intersection). Returns the new out tail; `out` needs
-  /// kKernelLaneSlack slots of headroom past na.
-  uint32_t* (*intersect_sorted)(const uint32_t* a, size_t na,
-                                const uint32_t* b, size_t nb, uint32_t* out);
-
-  /// Weight accumulation (pair-graph / usim sums): returns the sum of
-  /// weights[idx[i]] for i in [0, n) — or of weights[i] when `idx` is
-  /// nullptr (the contiguous case). Every kernel uses the same fixed
-  /// reduction order — four interleaved partial sums, lane i%4, folded
-  /// as (acc0+acc2)+(acc1+acc3) — so the result is bit-identical
-  /// across variants (the kernel-parity contract extends to floats).
-  double (*accumulate_weights)(const double* weights, const uint32_t* idx,
-                               size_t n);
 };
 
-/// The portable fallback; always registered, semantics-defining.
-const KernelOps& ScalarKernel();
-
-/// The kernel every probe should use: the testing override if set,
-/// else the scalar kernel when AUJOIN_FORCE_SCALAR is in effect, else
-/// the best variant the CPU supports (selection is computed once and
-/// cached). Thread-safe.
-const KernelOps& ActiveKernel();
-
-/// Every kernel usable on this host, scalar first. The parity suite
-/// iterates this to pin identical results across variants.
-std::vector<const KernelOps*> AvailableKernels();
-
-/// Looks a kernel up by name ("scalar", "avx2", "avx512", "neon")
-/// among the host's available kernels; nullptr when absent or
-/// unsupported here.
-const KernelOps* FindKernelByName(const char* name);
-
-/// Overrides ActiveKernel() (nullptr restores normal dispatch). For
-/// tests and the bench race only — takes effect for probes that start
-/// after the call; do not flip it while probes run on other threads.
-void ForceKernelForTesting(const KernelOps* kernel);
-
-/// True when the AUJOIN_FORCE_SCALAR environment variable pins the
-/// scalar kernel (set to anything but "0"). Exposed so benches can
-/// report why vector variants are not racing.
-bool ForceScalarEnvRequested();
+/// Always {"scalar"}. Kept only because the end-to-end benchmark
+/// records it in its ledger; nothing in the library dispatches on it.
+const KernelInfo& ActiveKernel();
 
 }  // namespace aujoin
 

@@ -7,26 +7,9 @@
 #include "storage/snapshot_format.h"
 #include "storage/snapshot_reader.h"
 #include "storage/snapshot_writer.h"
-#include "util/hash.h"
 #include "util/timer.h"
 
 namespace aujoin {
-namespace {
-
-/// Order-sensitive fingerprint of the full record vector — the same
-/// formula the snapshot meta uses for its record hashes, computed here
-/// over the unsharded collection so a manifest refuses a different
-/// world before any shard file is opened.
-uint64_t HashFullCollection(const std::vector<Record>& records) {
-  uint64_t h = records.size();
-  for (const Record& r : records) {
-    h = HashCombine(h, r.id);
-    h = HashCombine(h, HashTokenSpan(r.tokens.data(), r.tokens.size()));
-  }
-  return h;
-}
-
-}  // namespace
 
 ShardedIndex::ShardedIndex(const Knowledge& knowledge,
                            const MsimOptions& msim,
@@ -36,7 +19,8 @@ ShardedIndex::ShardedIndex(const Knowledge& knowledge,
       msim_(msim),
       shard_by_(plan.shard_by),
       contiguous_(plan.contiguous),
-      num_records_(records.size()) {
+      num_records_(records.size()),
+      records_hash_(HashRecords(records)) {
   shards_.reserve(plan.num_shards());
   for (size_t s = 0; s < plan.num_shards(); ++s) {
     auto shard = std::make_unique<Shard>();
@@ -109,29 +93,13 @@ Status ShardedIndex::Save(const std::string& path, Env* env) const {
     if (!index.ok()) return index.status();
     AUJOIN_RETURN_NOT_OK((*index)->Save(ShardFileName(path, s), env));
   }
-  // Reassemble the full-collection fingerprint from the owned slices:
-  // global id order, original ids restored.
-  std::vector<const Record*> by_global(num_records_, nullptr);
-  for (const auto& shard : shards_) {
-    for (size_t i = 0; i < shard->global_ids.size(); ++i) {
-      by_global[shard->global_ids[i]] = &shard->records[i];
-    }
-  }
-  uint64_t records_hash = num_records_;
-  for (size_t id = 0; id < by_global.size(); ++id) {
-    records_hash = HashCombine(records_hash, id);
-    records_hash = HashCombine(
-        records_hash, HashTokenSpan(by_global[id]->tokens.data(),
-                                    by_global[id]->tokens.size()));
-  }
-
   std::vector<uint8_t> payload(sizeof(ShardManifestHeader) +
                                shards_.size() * sizeof(uint64_t));
   ShardManifestHeader header;
   header.num_records = num_records_;
   header.num_shards = static_cast<uint32_t>(shards_.size());
   header.shard_by = static_cast<uint32_t>(shard_by_);
-  header.records_hash = records_hash;
+  header.records_hash = records_hash_;
   std::memcpy(payload.data(), &header, sizeof(header));
   for (size_t s = 0; s < shards_.size(); ++s) {
     uint64_t count = shards_[s]->records.size();
@@ -181,13 +149,13 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Load(
         ", engine wants " + std::to_string(num_shards) + " by " +
         ShardByName(shard_by));
   }
-  if (header.records_hash != HashFullCollection(records)) {
-    return Status::FailedPrecondition(
-        path + ": bound records do not match the manifest fingerprint");
-  }
   ShardPlan plan = ShardPlan::Make(records.size(), num_shards, shard_by);
   auto index = std::unique_ptr<ShardedIndex>(
       new ShardedIndex(knowledge, msim, records, plan));
+  if (header.records_hash != index->records_hash_) {
+    return Status::FailedPrecondition(
+        path + ": bound records do not match the manifest fingerprint");
+  }
   index->env_ = env;
   for (size_t s = 0; s < index->shards_.size(); ++s) {
     uint64_t count = 0;

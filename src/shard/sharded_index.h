@@ -111,6 +111,9 @@ class ShardedIndex {
   /// Whether every shard is a contiguous id range (ShardPlan::contiguous).
   bool contiguous_ = true;
   size_t num_records_ = 0;
+  /// HashRecords of the full collection handed to the constructor —
+  /// what Save writes into the manifest and Load checks it against.
+  uint64_t records_hash_ = 0;
   Env* env_ = nullptr;  // used only for lazy snapshot mounts
   std::vector<std::unique_ptr<Shard>> shards_;
 };

@@ -29,6 +29,16 @@
 #include "util/hash.h"
 
 namespace aujoin {
+
+uint64_t HashRecords(const std::vector<Record>& records) {
+  uint64_t h = records.size();
+  for (const Record& r : records) {
+    h = HashCombine(h, r.id);
+    h = HashCombine(h, HashTokenSpan(r.tokens.data(), r.tokens.size()));
+  }
+  return h;
+}
+
 namespace {
 
 // --- fingerprints -----------------------------------------------------
@@ -37,18 +47,6 @@ uint64_t HashDouble(double v) {
   uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
   return bits;
-}
-
-/// Order-sensitive fingerprint of a collection's token-id sequences.
-/// Token ids index the shared vocabulary, so this also pins the
-/// interning the records were tokenised under.
-uint64_t HashRecords(const std::vector<Record>& records) {
-  uint64_t h = records.size();
-  for (const Record& r : records) {
-    h = HashCombine(h, r.id);
-    h = HashCombine(h, HashTokenSpan(r.tokens.data(), r.tokens.size()));
-  }
-  return h;
 }
 
 /// Fingerprint of the knowledge the pebbles were generated from: every

@@ -22,8 +22,17 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
+
+#include "core/record.h"
 
 namespace aujoin {
+
+/// Order-sensitive fingerprint of a collection's record ids and
+/// token-id sequences: SnapshotMeta's record hashes and a shard
+/// manifest's records_hash. Token ids index the shared vocabulary, so
+/// this also pins the interning the records were tokenised under.
+uint64_t HashRecords(const std::vector<Record>& records);
 
 /// "AUJSNAP1" little-endian; the first 8 bytes of every snapshot.
 constexpr uint64_t kSnapshotMagic = 0x3150414E534A5541ULL;

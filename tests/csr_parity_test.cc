@@ -77,50 +77,65 @@ TEST_F(CsrParityFixtureTest, LegacyMapProbeProducesIdenticalCandidates) {
   SignatureOptions sig_options;
   sig_options.theta = kTheta;
   sig_options.tau = kTau;
-
-  // The shipped path: frozen CSR + count-based merge.
-  JoinContext::FilterOutput csr =
-      context.RunFilter(sig_options, nullptr, nullptr, /*num_threads=*/2);
-
-  // The reference path, verbatim from the pre-CSR RunFilter: a mutable
-  // hash-map index keyed by record id, probed key by key, overlaps
-  // deduped and counted through a per-record unordered_map.
   const auto& prepared = context.s_prepared();
   std::vector<Signature> sigs(prepared.size());
   for (size_t i = 0; i < prepared.size(); ++i) {
     sigs[i] = SelectSignature(prepared[i].pebbles, prepared[i].num_tokens,
                               sig_options);
   }
-  InvertedIndex legacy;
-  for (uint32_t j = 0; j < sigs.size(); ++j) legacy.Add(j, sigs[j].keys);
-  PairVec legacy_candidates;
-  uint64_t legacy_processed = 0;
-  std::unordered_map<uint32_t, int> overlap;
-  for (uint32_t s_id = 0; s_id < sigs.size(); ++s_id) {
-    overlap.clear();
-    for (uint64_t key : sigs[s_id].keys) {
-      const std::vector<uint32_t>* postings = legacy.Find(key);
-      if (postings == nullptr) continue;
-      for (uint32_t t_id : *postings) {
-        if (t_id <= s_id) continue;
-        ++legacy_processed;
-        ++overlap[t_id];
-      }
-    }
-    for (const auto& [t_id, count] : overlap) {
-      if (count >= std::min(sigs[s_id].effective_tau,
-                            sigs[t_id].effective_tau)) {
-        legacy_candidates.emplace_back(s_id, t_id);
-      }
-    }
-  }
 
-  PairVec csr_candidates = csr.candidates;
-  std::sort(csr_candidates.begin(), csr_candidates.end());
-  std::sort(legacy_candidates.begin(), legacy_candidates.end());
-  EXPECT_EQ(csr_candidates, legacy_candidates);
-  EXPECT_EQ(csr.processed_pairs, legacy_processed);
-  EXPECT_FALSE(csr_candidates.empty());
+  // The whole collection, then a subset self-join: the probe path that
+  // maps positions through the subset (single-id Bump with a
+  // per-posting pair dedup) before the merged select — the sampling
+  // shape the tuner's estimator runs.
+  std::vector<uint32_t> all;
+  std::vector<uint32_t> every_other;
+  for (uint32_t i = 0; i < sigs.size(); ++i) {
+    all.push_back(i);
+    if (i % 2 == 0) every_other.push_back(i);
+  }
+  for (const std::vector<uint32_t>* subset : {&all, &every_other}) {
+    SCOPED_TRACE(subset == &all ? "all records" : "every other record");
+    const std::vector<uint32_t>& ids = *subset;
+    // The shipped path: frozen CSR + count-based merge.
+    JoinContext::FilterOutput csr = context.RunFilter(
+        sig_options, subset == &all ? nullptr : subset, nullptr,
+        /*num_threads=*/2);
+
+    // The reference path, verbatim from the pre-CSR RunFilter: a
+    // mutable hash-map index keyed by record id, probed key by key,
+    // overlaps deduped and counted through a per-record unordered_map.
+    InvertedIndex legacy;
+    for (uint32_t j : ids) legacy.Add(j, sigs[j].keys);
+    PairVec legacy_candidates;
+    uint64_t legacy_processed = 0;
+    std::unordered_map<uint32_t, int> overlap;
+    for (uint32_t s_id : ids) {
+      overlap.clear();
+      for (uint64_t key : sigs[s_id].keys) {
+        const std::vector<uint32_t>* postings = legacy.Find(key);
+        if (postings == nullptr) continue;
+        for (uint32_t t_id : *postings) {
+          if (t_id <= s_id) continue;
+          ++legacy_processed;
+          ++overlap[t_id];
+        }
+      }
+      for (const auto& [t_id, count] : overlap) {
+        if (count >= std::min(sigs[s_id].effective_tau,
+                              sigs[t_id].effective_tau)) {
+          legacy_candidates.emplace_back(s_id, t_id);
+        }
+      }
+    }
+
+    PairVec csr_candidates = csr.candidates;
+    std::sort(csr_candidates.begin(), csr_candidates.end());
+    std::sort(legacy_candidates.begin(), legacy_candidates.end());
+    EXPECT_EQ(csr_candidates, legacy_candidates);
+    EXPECT_EQ(csr.processed_pairs, legacy_processed);
+    EXPECT_FALSE(csr_candidates.empty());
+  }
 }
 
 TEST_F(CsrParityFixtureTest, EveryAlgorithmKeepsPairsAcrossPartitioning) {

@@ -1,139 +1,26 @@
-// Kernel dispatch and parity suite. The vector kernels (src/kernels/)
-// must be invisible except for speed: every variant registered on this
-// host has to produce byte-identical outputs — touched ids in
-// first-touch order, packed stamps, select survivors — to the scalar
-// reference, on random runs and on the checked-in data/ fixture
-// end-to-end (join candidates, final pairs, Engine::Search). Also pins
-// the dispatch rules (force override, scalar always registered) and
-// the epoch-wrap clear of CandidateAccumulator. The suite name carries
+// Parity suite for the probe and verify loops: CandidateAccumulator's
+// count-merge and selects, SortedIntersectionSize and AccumulateWeights
+// (kernels/kernels.h), each against an independent oracle on random
+// runs, plus the accumulator's epoch-wrap clear. The suite name carries
 // "Kernel" so the CI sanitize job's TSan filter picks it up.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
+#include <cmath>
 #include <map>
 #include <random>
-#include <set>
-#include <string>
-#include <utility>
 #include <vector>
 
-#include "api/engine.h"
-#include "dataset/dataset.h"
 #include "index/csr_index.h"
-#include "join/join.h"
 #include "kernels/kernels.h"
-#include "test_fixtures.h"
 
 namespace aujoin {
 namespace {
 
-/// Restores normal dispatch when a test that forces a kernel exits.
-class ScopedKernel {
- public:
-  explicit ScopedKernel(const KernelOps* kernel) {
-    ForceKernelForTesting(kernel);
-  }
-  ~ScopedKernel() { ForceKernelForTesting(nullptr); }
-};
-
-TEST(KernelDispatchTest, ScalarIsAlwaysRegisteredAndFirst) {
-  std::vector<const KernelOps*> kernels = AvailableKernels();
-  ASSERT_FALSE(kernels.empty());
-  EXPECT_EQ(kernels.front(), &ScalarKernel());
-  EXPECT_EQ(ScalarKernel().kind, KernelKind::kScalar);
-  EXPECT_STREQ(ScalarKernel().name, "scalar");
-  for (const KernelOps* kernel : kernels) {
-    EXPECT_EQ(FindKernelByName(kernel->name), kernel);
-  }
-  EXPECT_EQ(FindKernelByName("no-such-isa"), nullptr);
-}
-
-TEST(KernelDispatchTest, ForceOverrideBeatsEverything) {
-  for (const KernelOps* kernel : AvailableKernels()) {
-    ScopedKernel forced(kernel);
-    EXPECT_EQ(&ActiveKernel(), kernel) << kernel->name;
-  }
-  // Cleared override falls back to the process-wide selection, which
-  // is always one of the registered kernels.
-  const KernelOps* active = &ActiveKernel();
-  std::vector<const KernelOps*> kernels = AvailableKernels();
-  EXPECT_NE(std::find(kernels.begin(), kernels.end(), active), kernels.end());
-}
-
-/// Random posting runs with repeats and a fresh/stale stamp mix: every
-/// kernel's raw operations must leave identical stamps and emit
-/// identical (ordered) touched/select outputs to the scalar reference.
-TEST(KernelParityTest, RawOperationsMatchScalarOnRandomRuns) {
-  std::mt19937 rng(20260809);
-  for (const KernelOps* kernel : AvailableKernels()) {
-    SCOPED_TRACE(kernel->name);
-    for (int round = 0; round < 50; ++round) {
-      const size_t universe = 1 + rng() % 300;
-      const size_t n = rng() % 200;  // exercises empty and sub-block runs
-      std::uniform_int_distribution<uint32_t> id_dist(
-          0, static_cast<uint32_t>(universe - 1));
-      std::vector<uint32_t> ids(n);
-      for (uint32_t& id : ids) id = id_dist(rng);
-
-      const uint32_t epoch = 7;
-      // Stale stamps from "previous probes" must read as count 0.
-      std::vector<uint64_t> ref_stamps(universe);
-      for (uint64_t& st : ref_stamps) {
-        st = (static_cast<uint64_t>(rng() % epoch) << 32) | (rng() % 5);
-      }
-      std::vector<uint64_t> got_stamps = ref_stamps;
-
-      std::vector<uint32_t> ref_touched(n + kKernelLaneSlack);
-      std::vector<uint32_t> got_touched(n + kKernelLaneSlack);
-      const size_t ref_n =
-          ScalarKernel().count_merge_run(ref_stamps.data(), epoch, ids.data(),
-                                         n, ref_touched.data()) -
-          ref_touched.data();
-      const size_t got_n =
-          kernel->count_merge_run(got_stamps.data(), epoch, ids.data(), n,
-                                  got_touched.data()) -
-          got_touched.data();
-      ASSERT_EQ(got_n, ref_n);
-      ref_touched.resize(ref_n);
-      got_touched.resize(ref_n);
-      EXPECT_EQ(got_touched, ref_touched);
-      EXPECT_EQ(got_stamps, ref_stamps);
-
-      const uint32_t threshold = 1 + rng() % 4;
-      std::vector<uint32_t> ref_out(ref_n + kKernelLaneSlack);
-      std::vector<uint32_t> got_out(ref_n + kKernelLaneSlack);
-      ref_out.resize(ScalarKernel().select_ge(ref_stamps.data(), threshold,
-                                              ref_touched.data(), ref_n,
-                                              ref_out.data()) -
-                     ref_out.data());
-      got_out.resize(kernel->select_ge(ref_stamps.data(), threshold,
-                                       ref_touched.data(), ref_n,
-                                       got_out.data()) -
-                     got_out.data());
-      EXPECT_EQ(got_out, ref_out);
-
-      std::vector<uint32_t> taus(universe);
-      for (uint32_t& tau : taus) tau = 1 + rng() % 4;
-      ref_out.assign(ref_n + kKernelLaneSlack, 0);
-      got_out.assign(ref_n + kKernelLaneSlack, 0);
-      ref_out.resize(ScalarKernel().select_ge_merged(
-                         ref_stamps.data(), taus.data(), threshold,
-                         ref_touched.data(), ref_n, ref_out.data()) -
-                     ref_out.data());
-      got_out.resize(kernel->select_ge_merged(ref_stamps.data(), taus.data(),
-                                              threshold, ref_touched.data(),
-                                              ref_n, got_out.data()) -
-                     got_out.data());
-      EXPECT_EQ(got_out, ref_out);
-    }
-  }
-}
-
-/// Independent two-pointer oracle for intersect_sorted's multiset
-/// semantics: every element of `a` (in order, with a's multiplicity)
-/// that occurs anywhere in `b`.
+/// Independent oracle for SortedIntersectionSize's multiset semantics:
+/// every element of `a` (in order, with a's multiplicity) that occurs
+/// anywhere in `b`.
 std::vector<uint32_t> IntersectOracle(const std::vector<uint32_t>& a,
                                       const std::vector<uint32_t>& b) {
   std::vector<uint32_t> out;
@@ -145,319 +32,169 @@ std::vector<uint32_t> IntersectOracle(const std::vector<uint32_t>& a,
   return out;
 }
 
-/// Sorted-set-intersection parity: every registered kernel against the
-/// oracle on structured edge shapes (empty / singleton / disjoint /
-/// identical / duplicate-heavy) and random sorted runs, 60 seeded
-/// rounds each. Both argument orders, since the verify stage probes
-/// with the smaller side first.
+/// SortedIntersectionSize against the oracle on structured edge shapes
+/// (empty / singleton / disjoint / identical / duplicate-heavy) and
+/// random sorted runs, 60 seeded rounds, both argument orders.
 TEST(KernelParityTest, IntersectSortedMatchesOracleOnRandomRuns) {
   std::mt19937 rng(20260809);
-  for (const KernelOps* kernel : AvailableKernels()) {
-    SCOPED_TRACE(kernel->name);
-    for (int round = 0; round < 60; ++round) {
-      std::vector<uint32_t> a, b;
-      auto sorted_random = [&](size_t n, uint32_t universe, bool dedupe) {
-        std::vector<uint32_t> v(n);
-        for (uint32_t& x : v) x = rng() % (universe + 1);
-        std::sort(v.begin(), v.end());
-        if (dedupe) v.erase(std::unique(v.begin(), v.end()), v.end());
-        return v;
-      };
-      switch (round % 6) {
-        case 0:  // one side empty
-          a = {};
-          b = sorted_random(rng() % 40, 100, true);
-          break;
-        case 1:  // singletons, hit or miss
-          a = {static_cast<uint32_t>(rng() % 10)};
-          b = sorted_random(1 + rng() % 20, 10, true);
-          break;
-        case 2:  // disjoint by parity
-          a = sorted_random(rng() % 60, 200, true);
-          b = sorted_random(rng() % 60, 200, true);
-          for (uint32_t& x : a) x = x * 2;
-          for (uint32_t& x : b) x = x * 2 + 1;
-          break;
-        case 3:  // identical
-          a = sorted_random(rng() % 60, 150, true);
-          b = a;
-          break;
-        case 4:  // duplicate-heavy multisets over a tiny universe
-          a = sorted_random(rng() % 80, 12, false);
-          b = sorted_random(rng() % 80, 12, false);
-          break;
-        default:  // general random, sizes past several vector blocks
-          a = sorted_random(rng() % 200, 1 + rng() % 300, true);
-          b = sorted_random(rng() % 200, 1 + rng() % 300, true);
-          break;
-      }
-      for (int swap = 0; swap < 2; ++swap) {
-        const std::vector<uint32_t>& x = swap ? b : a;
-        const std::vector<uint32_t>& y = swap ? a : b;
-        std::vector<uint32_t> got(x.size() + kKernelLaneSlack, 0xDEADBEEFu);
-        size_t got_n = static_cast<size_t>(
-            kernel->intersect_sorted(x.data(), x.size(), y.data(), y.size(),
-                                     got.data()) -
-            got.data());
-        got.resize(got_n);
-        EXPECT_EQ(got, IntersectOracle(x, y));
-      }
+  for (int round = 0; round < 60; ++round) {
+    std::vector<uint32_t> a, b;
+    auto sorted_random = [&](size_t n, uint32_t universe, bool dedupe) {
+      std::vector<uint32_t> v(n);
+      for (uint32_t& x : v) x = rng() % (universe + 1);
+      std::sort(v.begin(), v.end());
+      if (dedupe) v.erase(std::unique(v.begin(), v.end()), v.end());
+      return v;
+    };
+    switch (round % 6) {
+      case 0:  // one side empty
+        a = {};
+        b = sorted_random(rng() % 40, 100, true);
+        break;
+      case 1:  // singletons, hit or miss
+        a = {static_cast<uint32_t>(rng() % 10)};
+        b = sorted_random(1 + rng() % 20, 10, true);
+        break;
+      case 2:  // disjoint by parity
+        a = sorted_random(rng() % 60, 200, true);
+        b = sorted_random(rng() % 60, 200, true);
+        for (uint32_t& x : a) x = x * 2;
+        for (uint32_t& x : b) x = x * 2 + 1;
+        break;
+      case 3:  // identical
+        a = sorted_random(rng() % 60, 150, true);
+        b = a;
+        break;
+      case 4:  // duplicate-heavy multisets over a tiny universe
+        a = sorted_random(rng() % 80, 12, false);
+        b = sorted_random(rng() % 80, 12, false);
+        break;
+      default:  // general random
+        a = sorted_random(rng() % 200, 1 + rng() % 300, true);
+        b = sorted_random(rng() % 200, 1 + rng() % 300, true);
+        break;
+    }
+    for (int swap = 0; swap < 2; ++swap) {
+      const std::vector<uint32_t>& x = swap ? b : a;
+      const std::vector<uint32_t>& y = swap ? a : b;
+      EXPECT_EQ(SortedIntersectionSize(x.data(), x.size(), y.data(), y.size()),
+                IntersectOracle(x, y).size());
     }
   }
 }
 
-/// accumulate_weights must be bit-identical to the scalar kernel on
-/// every variant — contiguous (idx == nullptr) and gathered, across
-/// sizes straddling the vector width and the tail.
-TEST(KernelParityTest, AccumulateWeightsBitIdenticalAcrossKernels) {
+/// The reduction AccumulateWeights promises, written out: lane i % 4
+/// accumulates in index order, then (lane0 + lane2) + (lane1 + lane3).
+double FourLaneSum(const std::vector<double>& weights, const uint32_t* idx,
+                   size_t n) {
+  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+  for (size_t i = 0; i < n; ++i) {
+    lanes[i % 4] += idx == nullptr ? weights[i] : weights[idx[i]];
+  }
+  return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
+}
+
+/// AccumulateWeights is pinned bit for bit to the four-lane formula,
+/// contiguous (idx == nullptr) and gathered, for every n in 0..70. The
+/// weights span many magnitudes so a different summation order rounds
+/// differently; the suite checks that it does on some n, so a plain
+/// running sum cannot pass.
+TEST(KernelParityTest, AccumulateWeightsMatchesFourLaneFormula) {
   std::mt19937 rng(77);
-  std::uniform_real_distribution<double> w_dist(-1.0, 1.0);
+  std::uniform_real_distribution<double> mantissa(-1.0, 1.0);
   std::vector<double> weights(300);
-  for (double& w : weights) w = w_dist(rng);
-  for (int round = 0; round < 50; ++round) {
-    const size_t n = rng() % 70;
+  for (double& w : weights) w = mantissa(rng) * std::ldexp(1.0, rng() % 60);
+  bool order_matters = false;
+  for (size_t n = 0; n <= 70; ++n) {
     std::vector<uint32_t> idx(n);
     for (uint32_t& v : idx) {
       v = rng() % static_cast<uint32_t>(weights.size());
     }
-    const double ref_gather =
-        ScalarKernel().accumulate_weights(weights.data(), idx.data(), n);
-    const double ref_contig =
-        ScalarKernel().accumulate_weights(weights.data(), nullptr, n);
-    for (const KernelOps* kernel : AvailableKernels()) {
-      SCOPED_TRACE(kernel->name);
-      // EQ on doubles on purpose: the contract is a fixed reduction
-      // order, so the sums must match bit for bit, not approximately.
-      EXPECT_EQ(kernel->accumulate_weights(weights.data(), idx.data(), n),
-                ref_gather);
-      EXPECT_EQ(kernel->accumulate_weights(weights.data(), nullptr, n),
-                ref_contig);
-    }
+    // EQ on doubles on purpose: the contract is a fixed reduction
+    // order, so the sums must match bit for bit, not approximately.
+    const double gathered = AccumulateWeights(weights.data(), idx.data(), n);
+    EXPECT_EQ(gathered, FourLaneSum(weights, idx.data(), n)) << n;
+    const double contiguous = AccumulateWeights(weights.data(), nullptr, n);
+    EXPECT_EQ(contiguous, FourLaneSum(weights, nullptr, n)) << n;
+    double running = 0.0;
+    for (size_t i = 0; i < n; ++i) running += weights[idx[i]];
+    order_matters = order_matters || running != gathered;
   }
+  EXPECT_TRUE(order_matters);
 }
 
-/// CandidateAccumulator routed through each kernel must agree with a
-/// plain map oracle, including the batch BumpRun + SelectGE surface.
+/// CandidateAccumulator against a plain map oracle: first-touch order,
+/// counts, and the BumpRun + SelectGE / SelectMergedGE surface.
 TEST(KernelParityTest, AccumulatorMatchesMapOracleOnEveryKernel) {
   std::mt19937 rng(42);
-  for (const KernelOps* kernel : AvailableKernels()) {
-    SCOPED_TRACE(kernel->name);
-    ScopedKernel forced(kernel);
-    CandidateAccumulator acc;
-    for (int probe = 0; probe < 20; ++probe) {
-      const size_t universe = 50 + rng() % 200;
-      acc.Begin(universe);
-      std::map<uint32_t, uint32_t> oracle;
-      std::vector<uint32_t> first_touch;
-      for (int run = 0; run < 6; ++run) {
-        std::vector<uint32_t> ids(rng() % 40);
-        for (uint32_t& id : ids) {
-          id = rng() % static_cast<uint32_t>(universe);
-        }
-        acc.BumpRun(ids.data(), ids.size());
-        for (uint32_t id : ids) {
-          if (oracle[id]++ == 0) first_touch.push_back(id);
-        }
+  CandidateAccumulator acc;
+  for (int probe = 0; probe < 20; ++probe) {
+    const size_t universe = 50 + rng() % 200;
+    acc.Begin(universe);
+    std::map<uint32_t, uint32_t> oracle;
+    std::vector<uint32_t> first_touch;
+    for (int run = 0; run < 6; ++run) {
+      std::vector<uint32_t> ids(rng() % 40);
+      for (uint32_t& id : ids) {
+        id = rng() % static_cast<uint32_t>(universe);
       }
-      CandidateAccumulator::IdSpan touched = acc.touched();
-      EXPECT_EQ(std::vector<uint32_t>(touched.begin(), touched.end()),
-                first_touch);
-      for (const auto& [id, count] : oracle) {
-        EXPECT_EQ(acc.count(id), count);
+      acc.BumpRun(ids.data(), ids.size());
+      for (uint32_t id : ids) {
+        if (oracle[id]++ == 0) first_touch.push_back(id);
       }
-      const uint32_t threshold = 1 + rng() % 3;
-      std::vector<uint32_t> expected;
-      for (uint32_t id : first_touch) {
-        if (oracle[id] >= threshold) expected.push_back(id);
-      }
-      CandidateAccumulator::IdSpan kept = acc.SelectGE(threshold);
-      EXPECT_EQ(std::vector<uint32_t>(kept.begin(), kept.end()), expected);
-
-      std::vector<uint32_t> taus(universe);
-      for (uint32_t& tau : taus) tau = 1 + rng() % 3;
-      expected.clear();
-      for (uint32_t id : first_touch) {
-        if (oracle[id] >= std::min(taus[id], threshold)) {
-          expected.push_back(id);
-        }
-      }
-      CandidateAccumulator::IdSpan merged =
-          acc.SelectMergedGE(taus.data(), threshold);
-      EXPECT_EQ(std::vector<uint32_t>(merged.begin(), merged.end()), expected);
     }
+    CandidateAccumulator::IdSpan touched = acc.touched();
+    EXPECT_EQ(std::vector<uint32_t>(touched.begin(), touched.end()),
+              first_touch);
+    for (const auto& [id, count] : oracle) {
+      EXPECT_EQ(acc.count(id), count);
+    }
+    const uint32_t threshold = 1 + rng() % 3;
+    std::vector<uint32_t> expected;
+    for (uint32_t id : first_touch) {
+      if (oracle[id] >= threshold) expected.push_back(id);
+    }
+    CandidateAccumulator::IdSpan kept = acc.SelectGE(threshold);
+    EXPECT_EQ(std::vector<uint32_t>(kept.begin(), kept.end()), expected);
+
+    std::vector<uint32_t> taus(universe);
+    for (uint32_t& tau : taus) tau = 1 + rng() % 3;
+    expected.clear();
+    for (uint32_t id : first_touch) {
+      if (oracle[id] >= std::min(taus[id], threshold)) {
+        expected.push_back(id);
+      }
+    }
+    CandidateAccumulator::IdSpan merged =
+        acc.SelectMergedGE(taus.data(), threshold);
+    EXPECT_EQ(std::vector<uint32_t>(merged.begin(), merged.end()), expected);
   }
 }
 
 /// Epoch wrap is the accumulator's one real clear: stamps written just
 /// before the 32-bit epoch wraps must not alias counts after it.
 TEST(KernelParityTest, EpochWrapClearsStaleStamps) {
-  for (const KernelOps* kernel : AvailableKernels()) {
-    SCOPED_TRACE(kernel->name);
-    ScopedKernel forced(kernel);
-    CandidateAccumulator acc;
-    acc.Begin(16);  // epoch 1
-    const std::vector<uint32_t> run = {3, 3, 7, 9, 3};
-    acc.BumpRun(run.data(), run.size());
-    EXPECT_EQ(acc.count(3), 3u);
-    // Jump to the last epoch before the wrap and probe there.
-    acc.SetEpochForTesting(0xFFFFFFFEu);
-    acc.Begin(16);  // epoch 0xFFFFFFFF
-    acc.BumpRun(run.data(), run.size());
-    EXPECT_EQ(acc.count(3), 3u);
-    EXPECT_EQ(acc.count(9), 1u);
-    // The wrapping Begin must zero the array: post-wrap epochs restart
-    // at 1, the epoch the {3,7,9} stamps of the first probe carry.
-    acc.Begin(16);  // wraps: clears, epoch 1 again
-    EXPECT_EQ(acc.count(3), 0u);
-    EXPECT_EQ(acc.count(7), 0u);
-    EXPECT_TRUE(acc.touched().empty());
-    acc.BumpRun(run.data(), run.size());
-    EXPECT_EQ(acc.count(3), 3u);
-    EXPECT_EQ(acc.count(9), 1u);
-    EXPECT_EQ(acc.SelectGE(2).size(), 1u);  // only id 3 reaches 2
-  }
-}
-
-// ------------------------------------------------------ fixture parity
-
-constexpr double kTheta = 0.7;
-constexpr int kTau = 2;
-
-class KernelFixtureParityTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    const std::string root = AUJOIN_SOURCE_DIR;
-    DatasetSpec spec;
-    spec.records_path = root + "/data/poi.csv";
-    spec.reader.columns = {"name", "city"};
-    spec.reader.has_header = true;
-    spec.rules_path = root + "/data/poi_rules.tsv";
-    spec.taxonomy_path = root + "/data/poi_taxonomy.tsv";
-    spec.tokenizer.split_punctuation = true;
-    Result<Dataset> loaded = LoadDataset(spec);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    dataset_ = new Dataset(std::move(*loaded));
-  }
-
-  static void TearDownTestSuite() {
-    delete dataset_;
-    dataset_ = nullptr;
-  }
-
-  static Engine MakeEngine(int threads) {
-    Engine engine = EngineBuilder()
-                        .SetKnowledge(dataset_->knowledge())
-                        .SetMeasures("TJS")
-                        .SetQ(3)
-                        .SetThreads(threads)
-                        .Build();
-    engine.SetRecords(dataset_->records);
-    return engine;
-  }
-
-  static Dataset* dataset_;
-};
-
-Dataset* KernelFixtureParityTest::dataset_ = nullptr;
-
-using PairVec = std::vector<std::pair<uint32_t, uint32_t>>;
-
-TEST_F(KernelFixtureParityTest, EveryKernelProducesIdenticalJoinResults) {
-  SignatureOptions sig_options;
-  sig_options.theta = kTheta;
-  sig_options.tau = kTau;
-  EngineJoinOptions join_options;
-  join_options.theta = kTheta;
-  join_options.tau = kTau;
-
-  PairVec scalar_candidates;
-  uint64_t scalar_processed = 0;
-  PairVec scalar_pairs;
-  bool have_scalar = false;
-  for (const KernelOps* kernel : AvailableKernels()) {
-    SCOPED_TRACE(kernel->name);
-    ScopedKernel forced(kernel);
-    Engine engine = MakeEngine(/*threads=*/2);
-    JoinContext::FilterOutput filtered = engine.PreparedContext().RunFilter(
-        sig_options, nullptr, nullptr, /*num_threads=*/2);
-    PairVec candidates = filtered.candidates;
-    std::sort(candidates.begin(), candidates.end());
-    Result<JoinResult> joined = engine.Join("unified", join_options);
-    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
-    if (!have_scalar) {  // AvailableKernels lists scalar first
-      scalar_candidates = std::move(candidates);
-      scalar_processed = filtered.processed_pairs;
-      scalar_pairs = joined->pairs;
-      have_scalar = true;
-      EXPECT_FALSE(scalar_candidates.empty());
-      continue;
-    }
-    EXPECT_EQ(candidates, scalar_candidates);
-    EXPECT_EQ(filtered.processed_pairs, scalar_processed);
-    EXPECT_EQ(joined->pairs, scalar_pairs);
-  }
-}
-
-TEST_F(KernelFixtureParityTest, SubsetSelfJoinKeepsParityAcrossKernels) {
-  // The subset self-join probe is the one path that mixes the scalar
-  // single-id Bump (per-posting dedup through t_map) with the kernel's
-  // merged select — the sampling shape the tuner's estimator runs.
-  SignatureOptions sig_options;
-  sig_options.theta = kTheta;
-  sig_options.tau = kTau;
-  std::vector<uint32_t> subset;
-  for (uint32_t i = 0; i < dataset_->records.size(); i += 2) {
-    subset.push_back(i);
-  }
-  PairVec scalar_candidates;
-  bool have_scalar = false;
-  for (const KernelOps* kernel : AvailableKernels()) {
-    SCOPED_TRACE(kernel->name);
-    ScopedKernel forced(kernel);
-    Engine engine = MakeEngine(/*threads=*/2);
-    JoinContext::FilterOutput filtered = engine.PreparedContext().RunFilter(
-        sig_options, &subset, nullptr, /*num_threads=*/2);
-    PairVec candidates = filtered.candidates;
-    std::sort(candidates.begin(), candidates.end());
-    for (const auto& [s, t] : candidates) EXPECT_LT(s, t);
-    if (!have_scalar) {
-      scalar_candidates = std::move(candidates);
-      have_scalar = true;
-      continue;
-    }
-    EXPECT_EQ(candidates, scalar_candidates);
-  }
-}
-
-TEST_F(KernelFixtureParityTest, SearchMatchesScalarOnEveryKernel) {
-  EngineSearchOptions options;
-  options.theta = kTheta;
-  std::vector<std::set<uint32_t>> scalar_results;
-  bool have_scalar = false;
-  for (const KernelOps* kernel : AvailableKernels()) {
-    SCOPED_TRACE(kernel->name);
-    ScopedKernel forced(kernel);
-    Engine engine = MakeEngine(/*threads=*/1);
-    std::vector<std::set<uint32_t>> results;
-    uint64_t hits = 0;
-    for (size_t q = 0; q < dataset_->records.size(); q += 3) {
-      Result<std::vector<UnifiedSearcher::Match>> matches =
-          engine.Search(dataset_->records[q], options,
-                        static_cast<SearchStats*>(nullptr));
-      ASSERT_TRUE(matches.ok()) << matches.status().ToString();
-      std::set<uint32_t> ids;
-      for (const auto& m : *matches) ids.insert(m.id);
-      hits += ids.size();
-      results.push_back(std::move(ids));
-    }
-    EXPECT_GT(hits, 0u);
-    if (!have_scalar) {
-      scalar_results = std::move(results);
-      have_scalar = true;
-      continue;
-    }
-    EXPECT_EQ(results, scalar_results);
-  }
+  CandidateAccumulator acc;
+  acc.Begin(16);  // epoch 1
+  const std::vector<uint32_t> run = {3, 3, 7, 9, 3};
+  acc.BumpRun(run.data(), run.size());
+  EXPECT_EQ(acc.count(3), 3u);
+  // Jump to the last epoch before the wrap and probe there.
+  acc.SetEpochForTesting(0xFFFFFFFEu);
+  acc.Begin(16);  // epoch 0xFFFFFFFF
+  acc.BumpRun(run.data(), run.size());
+  EXPECT_EQ(acc.count(3), 3u);
+  EXPECT_EQ(acc.count(9), 1u);
+  // The wrapping Begin must zero the array: post-wrap epochs restart
+  // at 1, the epoch the {3,7,9} stamps of the first probe carry.
+  acc.Begin(16);  // wraps: clears, epoch 1 again
+  EXPECT_EQ(acc.count(3), 0u);
+  EXPECT_EQ(acc.count(7), 0u);
+  EXPECT_TRUE(acc.touched().empty());
+  acc.BumpRun(run.data(), run.size());
+  EXPECT_EQ(acc.count(3), 3u);
+  EXPECT_EQ(acc.count(9), 1u);
+  EXPECT_EQ(acc.SelectGE(2).size(), 1u);  // only id 3 reaches 2
 }
 
 }  // namespace

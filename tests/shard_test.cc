@@ -596,6 +596,38 @@ TEST_F(ShardSnapshotTest, SaveLoadRoundTripServesIdentically) {
   }
 }
 
+TEST_F(ShardSnapshotTest, NonPositionalIdsRoundTrip) {
+  // Record ids need not be positions: the manifest fingerprint Save
+  // writes must be the one Load recomputes from the bound records.
+  for (Record& r : records_) r.id += 100;
+  EngineSearchOptions options;
+  options.theta = 0.5;
+  options.tau = 1;
+  for (ShardBy by : {ShardBy::kRange, ShardBy::kHash}) {
+    const std::string path =
+        TempPath(std::string("offset_ids_") + ShardByName(by) + ".aujsnap");
+    Engine writer = MakeEngine(2, by);
+    ASSERT_OK(writer.SaveIndex(path));
+    Engine reader = MakeEngine(2, by);
+    Status loaded = reader.LoadIndex(path);
+    ASSERT_TRUE(loaded.ok()) << ShardByName(by) << ": " << loaded.ToString();
+    EXPECT_STREQ(reader.index_source(), "snapshot");
+    for (const Record& query : records_) {
+      Result<std::vector<UnifiedSearcher::Match>> built =
+          writer.Search(query, options);
+      Result<std::vector<UnifiedSearcher::Match>> mounted =
+          reader.Search(query, options);
+      ASSERT_OK(built.status());
+      ASSERT_OK(mounted.status());
+      EXPECT_EQ(*mounted, *built) << ShardByName(by) << " query " << query.id;
+    }
+    std::remove(path.c_str());
+    for (size_t s = 0; s < 2; ++s) {
+      std::remove(ShardedIndex::ShardFileName(path, s).c_str());
+    }
+  }
+}
+
 TEST_F(ShardSnapshotTest, LazyMountTouchesOnlyTheProbedShards) {
   const std::string path = TempPath("lazy.aujsnap");
   {

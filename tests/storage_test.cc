@@ -80,8 +80,10 @@ class SnapshotRoundTripTest : public ::testing::TestWithParam<const char*> {
     Result<Dataset> loaded = LoadDataset(spec);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     dataset_ = std::make_unique<Dataset>(std::move(*loaded));
-    path_ = ::testing::TempDir() + "aujoin_roundtrip_" + GetParam() +
-            ".aujsnap";
+    // Per-process filename, as in the corruption fixture below: the
+    // cases of one parameter run concurrently under ctest -j.
+    path_ = ::testing::TempDir() + "aujoin_roundtrip_" + GetParam() + "_" +
+            std::to_string(::getpid()) + ".aujsnap";
   }
 
   void TearDown() override { std::remove(path_.c_str()); }

@@ -144,6 +144,17 @@ TEST_F(TunerTest, RecommendationMatchesExhaustiveSearchCost) {
 }
 
 TEST_F(TunerTest, JoinWithSuggestedTauProducesCorrectResults) {
+  // Its own smaller corpus: both joins below verify every candidate
+  // serially, which on the shared 400-string corpus dominates the
+  // suite's wall time.
+  CorpusGenerator gen(&vocab_, &taxonomy_, &rules_);
+  CorpusProfile profile;
+  profile.num_strings = 150;
+  profile.seed = 11;
+  const Corpus corpus = gen.Generate(profile, {.num_pairs = 30});
+  JoinContext context(knowledge_, MsimOptions{});
+  context.Prepare(corpus.records, nullptr);
+
   TunerOptions opts;
   opts.tau_universe = {1, 2, 3};
   opts.sample_prob_s = 0.1;
@@ -155,13 +166,14 @@ TEST_F(TunerTest, JoinWithSuggestedTauProducesCorrectResults) {
   join_opts.method = FilterMethod::kAuDp;
   TauRecommendation rec;
   JoinResult with_suggestion =
-      JoinWithSuggestedTau(*context_, join_opts, opts, &rec);
+      JoinWithSuggestedTau(context, join_opts, opts, &rec);
   EXPECT_GT(with_suggestion.stats.suggest_seconds, 0.0);
 
   // The result set must be identical to a fixed-tau join (any tau).
   join_opts.tau = 1;
   join_opts.method = FilterMethod::kUFilter;
-  JoinResult reference = UnifiedJoin(*context_, join_opts);
+  JoinResult reference = UnifiedJoin(context, join_opts);
+  EXPECT_FALSE(reference.pairs.empty());
   auto canon = [](std::vector<std::pair<uint32_t, uint32_t>> v) {
     for (auto& p : v) {
       if (p.first > p.second) std::swap(p.first, p.second);
@@ -169,7 +181,10 @@ TEST_F(TunerTest, JoinWithSuggestedTauProducesCorrectResults) {
     std::sort(v.begin(), v.end());
     return v;
   };
-  EXPECT_EQ(canon(with_suggestion.pairs), canon(reference.pairs));
+  EXPECT_EQ(canon(with_suggestion.pairs), canon(reference.pairs))
+      << "suggested tau " << rec.best_tau << ": "
+      << with_suggestion.stats.candidates << " candidates vs "
+      << reference.stats.candidates << " at tau 1";
 }
 
 }  // namespace

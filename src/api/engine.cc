@@ -1,5 +1,6 @@
 #include "api/engine.h"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
@@ -47,46 +48,32 @@ void Engine::SetRecords(const std::vector<Record>& s,
   checkpoint_path_.clear();
   auto_checkpoint_status_ = Status::OK();
   auto_checkpoints_ = 0;
-  {
-    std::lock_guard<std::mutex> lock(shard_state_->mutex);
-    shard_state_->ready.store(false, std::memory_order_relaxed);
-    sharded_.reset();
-  }
-  std::lock_guard<std::mutex> lock(index_state_->mutex);
-  index_state_->ready.store(false, std::memory_order_relaxed);
-  index_.reset();
+  sharded_ = std::make_unique<LazyPublish<ShardedIndex>>();
+  index_ = std::make_unique<LazyPublish<PreparedIndex>>();
 }
 
-Result<const ShardedIndex*> Engine::ShardedServing() const {
+Result<std::shared_ptr<const ShardedIndex>> Engine::ShardedServing() const {
   if (s_records_ == nullptr) {
     return Status::FailedPrecondition(
         "Engine::ShardedServing called before SetRecords()");
   }
-  // Same lock-free-once-published discipline as ServingIndex: mutations
-  // are never concurrent with serving, so `ready` seen true means
-  // sharded_ is stable until the next mutation.
-  if (!shard_state_->ready.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(shard_state_->mutex);
-    if (sharded_ == nullptr) {
-      // Serving probes the T side (== S for a self-join); that is the
-      // collection the shard plan splits.
-      const std::vector<Record>& targets =
-          t_records_ != nullptr ? *t_records_ : *s_records_;
-      ShardPlan plan = ShardPlan::Make(targets.size(), options_.num_shards,
-                                       options_.shard_by);
-      sharded_ = std::make_unique<ShardedIndex>(options_.knowledge,
-                                                options_.msim, targets, plan);
-    }
-    shard_state_->ready.store(true, std::memory_order_release);
-  }
-  return sharded_.get();
+  return sharded_->Get([this] {
+    // Serving probes the T side (== S for a self-join); that is the
+    // collection the shard plan splits.
+    const std::vector<Record>& targets =
+        t_records_ != nullptr ? *t_records_ : *s_records_;
+    return std::make_shared<const ShardedIndex>(
+        options_.knowledge, options_.msim, targets,
+        ShardPlan::Make(targets.size(), options_.num_shards,
+                        options_.shard_by));
+  });
 }
 
 Status Engine::SaveIndex(const std::string& path) const {
   if (options_.num_shards > 0 && generational_ == nullptr) {
     // Sharded mode persists one snapshot file per shard behind a
     // manifest, so a later engine can mount shards independently.
-    Result<const ShardedIndex*> sharded = ShardedServing();
+    Result<std::shared_ptr<const ShardedIndex>> sharded = ShardedServing();
     if (!sharded.ok()) return sharded.status();
     return (*sharded)->Save(path, ResolveEnv(options_));
   }
@@ -115,23 +102,17 @@ Status Engine::LoadIndex(const std::string& path) {
         options_.knowledge, options_.msim, targets, options_.num_shards,
         options_.shard_by, path, ResolveEnv(options_));
     if (!loaded.ok()) return loaded.status();
-    from_snapshot_ = true;
-    snapshot_load_seconds_ = timer.Seconds();
-    std::lock_guard<std::mutex> lock(shard_state_->mutex);
-    sharded_ = std::move(*loaded);
-    shard_state_->ready.store(true, std::memory_order_release);
-    return Status::OK();
+    sharded_ = std::make_unique<LazyPublish<ShardedIndex>>(std::move(*loaded));
+  } else {
+    Result<std::shared_ptr<const PreparedIndex>> loaded =
+        PreparedIndex::Load(options_.knowledge, options_.msim, *s_records_,
+                            t_records_, path, ResolveEnv(options_));
+    if (!loaded.ok()) return loaded.status();
+    context_.reset();  // a prepared join context would borrow the old index
+    index_ = std::make_unique<LazyPublish<PreparedIndex>>(*loaded);
   }
-  Result<std::shared_ptr<const PreparedIndex>> loaded = PreparedIndex::Load(
-      options_.knowledge, options_.msim, *s_records_, t_records_, path,
-      ResolveEnv(options_));
-  if (!loaded.ok()) return loaded.status();
-  context_.reset();  // a prepared join context would borrow the old index
   from_snapshot_ = true;
   snapshot_load_seconds_ = timer.Seconds();
-  std::lock_guard<std::mutex> lock(index_state_->mutex);
-  index_ = *loaded;
-  index_state_->ready.store(true, std::memory_order_release);
   return Status::OK();
 }
 
@@ -300,21 +281,12 @@ Result<std::shared_ptr<const PreparedIndex>> Engine::ServingIndex(
     return Status::FailedPrecondition(
         "Engine::ServingIndex called before SetRecords()");
   }
-  // Lock-free once published: SetRecords (a mutation, never concurrent
-  // with serving) is the only thing that unpublishes, so after the
-  // acquire load sees `ready`, index_ is stable until then.
-  if (!index_state_->ready.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(index_state_->mutex);
-    if (index_ == nullptr) {
-      index_ = PreparedIndex::Build(options_.knowledge, options_.msim,
-                                    *s_records_, t_records_);
-      if (built_seconds != nullptr) {
-        *built_seconds += index_->prepare_seconds();
-      }
-    }
-    index_state_->ready.store(true, std::memory_order_release);
-  }
-  return index_;
+  return index_->Get([&] {
+    std::shared_ptr<const PreparedIndex> index = PreparedIndex::Build(
+        options_.knowledge, options_.msim, *s_records_, t_records_);
+    if (built_seconds != nullptr) *built_seconds += index->prepare_seconds();
+    return index;
+  });
 }
 
 JoinContext& Engine::PreparedContext() {
@@ -446,7 +418,7 @@ Result<Engine::Slices> Engine::ServingSlices(double* built_seconds) const {
       return pinned[i];
     };
   } else if (options_.num_shards > 0) {
-    Result<const ShardedIndex*> sharded = ShardedServing();
+    Result<std::shared_ptr<const ShardedIndex>> sharded = ShardedServing();
     if (!sharded.ok()) return sharded.status();
     slices.count = (*sharded)->num_shards();
     slices.resolve = [sharded = *sharded](size_t s, double* built) {
@@ -476,26 +448,17 @@ Status Engine::Search(const Record& query, const EngineSearchOptions& options,
   if (sink == nullptr) {
     return Status::InvalidArgument("Engine::Search requires a sink");
   }
-  // Count `results` as matches actually emitted (the sink may stop
-  // early), matching BatchSearch's streaming semantics; the other
-  // counters pass through from the vector Search.
-  SearchStats local;
   Result<std::vector<UnifiedSearcher::Match>> matches =
-      Search(query, options, stats == nullptr ? nullptr : &local);
+      Search(query, options, stats);
   if (!matches.ok()) return matches.status();
   uint64_t emitted = 0;
   for (const UnifiedSearcher::Match& m : *matches) {
     ++emitted;
     if (!sink->OnMatch(query.id, m.id)) break;
   }
-  if (stats != nullptr) {
-    stats->queries += local.queries;
-    stats->query_candidates += local.query_candidates;
-    stats->index_seconds += local.index_seconds;
-    stats->search_seconds += local.search_seconds;
-    stats->results += emitted;
-    stats->shards = local.shards;
-  }
+  // Count `results` as matches actually emitted (the sink may stop
+  // early), matching BatchSearch's streaming semantics.
+  if (stats != nullptr) stats->results -= matches->size() - emitted;
   return Status::OK();
 }
 
@@ -609,16 +572,27 @@ Result<JoinResult> Engine::JoinWithSuggestedTau(
     return Status::FailedPrecondition(
         "Engine::JoinWithSuggestedTau is unavailable in append mode");
   }
-  JoinOptions join_options;
-  join_options.theta = options.theta;
-  join_options.tau = options.tau;
-  join_options.method = options.method;
-  join_options.exact_min_partition = options.exact_min_partition;
-  join_options.usim = options.usim;
-  join_options.cache_evict_threshold = options_.cache_evict_threshold;
-  join_options.num_threads = options_.num_threads;
-  return aujoin::JoinWithSuggestedTau(PreparedContext(), join_options,
-                                      tuner_options, recommendation);
+  const JoinContext& context = PreparedContext();
+  WallTimer timer;
+  const JoinOptions calibration = {
+      .theta = options.theta,
+      .tau = options.tau,
+      .method = options.method,
+      .exact_min_partition = options.exact_min_partition,
+      .usim = options.usim};
+  TauRecommendation rec = RecommendTau(
+      context, CalibrateCostModel(context, calibration), tuner_options);
+  const double suggest_seconds = timer.Seconds();
+  EngineJoinOptions tuned = options;
+  tuned.tau = rec.best_tau;
+  if (tuned.method == FilterMethod::kUFilter) {
+    tuned.method = tuner_options.method;
+  }
+  Result<JoinResult> result = Join("unified", tuned);
+  if (!result.ok()) return result;
+  result->stats.suggest_seconds = suggest_seconds;
+  if (recommendation != nullptr) *recommendation = rec;
+  return result;
 }
 
 }  // namespace aujoin

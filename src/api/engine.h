@@ -8,10 +8,8 @@
 #ifndef AUJOIN_API_ENGINE_H_
 #define AUJOIN_API_ENGINE_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -26,6 +24,7 @@
 #include "join/search.h"
 #include "shard/shard_plan.h"
 #include "tuner/recommend.h"
+#include "util/lazy_publish.h"
 #include "util/status.h"
 
 namespace aujoin {
@@ -185,7 +184,7 @@ class Engine {
                           const EngineJoinOptions& options);
 
   /// The tuner path: lets Algorithm 7 pick the overlap constraint tau on
-  /// the engine's prepared context, then runs the unified join with it.
+  /// the engine's prepared context, then runs Join("unified") with it.
   /// Suggestion time is reported in stats.suggest_seconds.
   Result<JoinResult> JoinWithSuggestedTau(
       const EngineJoinOptions& options, const TunerOptions& tuner_options,
@@ -198,13 +197,12 @@ class Engine {
   JoinContext& PreparedContext();
 
   /// The shared immutable PreparedIndex for the bound records, built
-  /// lazily under a mutex (thread-safe, callable concurrently); the
-  /// call that builds it adds the prepare seconds to `*built_seconds`.
-  /// Joins, monolithic searches and external UnifiedSearchers all
-  /// borrow this one instance; it stays valid after SetRecords rebinds
-  /// the engine as long as the caller holds the shared_ptr (and the old
-  /// records). A sharded engine serves from its shards and never needs
-  /// it.
+  /// once on first use (thread-safe, callable concurrently); the call
+  /// that builds it adds the prepare seconds to `*built_seconds`. Joins,
+  /// monolithic searches and external UnifiedSearchers all borrow this
+  /// one instance; it stays valid after SetRecords rebinds the engine as
+  /// long as the caller holds the shared_ptr (and the old records). A
+  /// sharded engine serves from its shards and never needs it.
   Result<std::shared_ptr<const PreparedIndex>> ServingIndex(
       double* built_seconds = nullptr) const;
 
@@ -256,6 +254,11 @@ class Engine {
   /// WAL-logged + fsynced, then staged for serving. Returns the new
   /// record's global id. The acknowledged-durable contract and the
   /// sticky-failure rule are GenerationalIndex::AppendDurable's.
+  /// One caller at a time for Append and Checkpoint: the record factory
+  /// interns into a Vocabulary that has no lock, and an auto-checkpoint's
+  /// WAL reset inside Append must not race another append. Search, TopK,
+  /// BatchSearch and Refreeze may run concurrently with them; a query
+  /// sees every append acknowledged before it began.
   Result<uint32_t> Append(const std::string& text);
 
   /// Compacts staged appends into the frozen generation (see
@@ -296,9 +299,9 @@ class Engine {
 
   /// The scatter-gather serving structure when EngineOptions::num_shards
   /// > 0 (built or mounted lazily); nullptr before first use or in
-  /// monolithic/append mode. Exposed for tests asserting lazy per-shard
-  /// residency.
-  const ShardedIndex* sharded_index() const { return sharded_.get(); }
+  /// monolithic/append mode. Never builds. Exposed for tests asserting
+  /// lazy per-shard residency.
+  const ShardedIndex* sharded_index() const { return sharded_->Peek().get(); }
 
   /// Online search over the bound T side (== S for a self-join; in
   /// append mode, the bound records plus every append): every record
@@ -353,8 +356,8 @@ class Engine {
 
   /// The lazily-built sharded serving structure (num_shards > 0 only):
   /// splits the T side (== S for self-joins) under the engine's shard
-  /// plan. Same lock-free-once-published pattern as ServingIndex.
-  Result<const ShardedIndex*> ShardedServing() const;
+  /// plan.
+  Result<std::shared_ptr<const ShardedIndex>> ShardedServing() const;
 
   /// What one query is answered from: the serving store's slices and
   /// how to resolve them (see SearchSlices).
@@ -380,20 +383,12 @@ class Engine {
   const std::vector<Record>* s_records_ = nullptr;
   const std::vector<Record>* t_records_ = nullptr;
   std::unique_ptr<JoinContext> context_;
-  /// Guards the lazy build/reset of index_ (the only engine state const
-  /// serving methods touch); the index itself is immutable once built.
-  /// `ready` is the release/acquire flag that lets concurrent searches
-  /// skip the mutex once the index is published — queries contend on
-  /// nothing but the shared_ptr refcount. Behind a unique_ptr so the
-  /// Engine stays movable (moving while another thread serves from the
-  /// engine is undefined, as usual).
-  struct LazyIndexState {
-    std::mutex mutex;
-    std::atomic<bool> ready{false};
-  };
-  mutable std::unique_ptr<LazyIndexState> index_state_ =
-      std::make_unique<LazyIndexState>();
-  mutable std::shared_ptr<const PreparedIndex> index_;
+  /// The serving index (the only state const serving methods build);
+  /// SetRecords and LoadIndex replace the helper. Behind a unique_ptr so
+  /// the Engine stays movable (moving while another thread serves from
+  /// the engine is undefined, as usual).
+  std::unique_ptr<LazyPublish<PreparedIndex>> index_ =
+      std::make_unique<LazyPublish<PreparedIndex>>();
   /// Provenance of `index_`, written only by mutations (SetRecords /
   /// LoadIndex) and read by stats reporting.
   bool from_snapshot_ = false;
@@ -416,17 +411,10 @@ class Engine {
   Status auto_checkpoint_status_;
   uint64_t auto_checkpoints_ = 0;
 
-  /// Scatter-gather serving (EngineOptions::num_shards > 0): built or
-  /// mounted lazily under its own mutex + ready flag so concurrent
-  /// first searches agree on one instance; the instance itself is
-  /// const-thread-safe.
-  struct LazyShardState {
-    std::mutex mutex;
-    std::atomic<bool> ready{false};
-  };
-  mutable std::unique_ptr<LazyShardState> shard_state_ =
-      std::make_unique<LazyShardState>();
-  mutable std::unique_ptr<ShardedIndex> sharded_;
+  /// Scatter-gather serving (EngineOptions::num_shards > 0), held like
+  /// `index_`; the instance itself is const-thread-safe.
+  std::unique_ptr<LazyPublish<ShardedIndex>> sharded_ =
+      std::make_unique<LazyPublish<ShardedIndex>>();
 };
 
 /// Fluent construction of an Engine; every setter has a sensible default

@@ -50,40 +50,32 @@ std::shared_ptr<const PreparedIndex> PreparedIndex::Build(
 }
 
 const CsrIndex& PreparedIndex::ServingIndex(double* built_seconds) const {
-  if (built_seconds != nullptr) *built_seconds = 0.0;
-  // Double-checked build: the atomic flag's release store publishes the
-  // completed index; the acquire load on the fast path pairs with it.
-  if (!serving_built_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(serving_mutex_);
-    if (!serving_built_.load(std::memory_order_relaxed)) {
-      WallTimer timer;
-      const std::vector<PreparedRecord>& prepared = t_prepared();
-      InvertedIndex staging;
-      std::vector<uint64_t> keys;
-      for (size_t i = 0; i < prepared.size(); ++i) {
-        keys.clear();
-        keys.reserve(prepared[i].pebbles.pebbles.size());
-        for (const Pebble& p : prepared[i].pebbles.pebbles) {
-          keys.push_back(p.key);
-        }
-        // Add dedupes the record's repeated keys itself — one posting
-        // per distinct key, even for duplicate-heavy pebble lists.
-        staging.Add(static_cast<uint32_t>(i), keys);
+  Result<std::shared_ptr<const Serving>> serving = serving_.Get([&] {
+    WallTimer timer;
+    const std::vector<PreparedRecord>& prepared = t_prepared();
+    InvertedIndex staging;
+    std::vector<uint64_t> keys;
+    for (size_t i = 0; i < prepared.size(); ++i) {
+      keys.clear();
+      keys.reserve(prepared[i].pebbles.pebbles.size());
+      for (const Pebble& p : prepared[i].pebbles.pebbles) {
+        keys.push_back(p.key);
       }
-      serving_index_ = CsrIndex::Freeze(staging);
-      double seconds = timer.Seconds();
-      index_seconds_.store(seconds, std::memory_order_relaxed);
-      if (built_seconds != nullptr) *built_seconds = seconds;
-      serving_built_.store(true, std::memory_order_release);
+      // Add dedupes the record's repeated keys itself — one posting
+      // per distinct key, even for duplicate-heavy pebble lists.
+      staging.Add(static_cast<uint32_t>(i), keys);
     }
-  }
-  return serving_index_;
+    CsrIndex csr = CsrIndex::Freeze(staging);
+    const double seconds = timer.Seconds();
+    if (built_seconds != nullptr) *built_seconds += seconds;
+    return std::make_shared<const Serving>(Serving{std::move(csr), seconds});
+  });
+  return (*serving)->csr;  // cannot fail; lives as long as this index
 }
 
 double PreparedIndex::index_seconds() const {
-  return serving_built_.load(std::memory_order_acquire)
-             ? index_seconds_.load(std::memory_order_relaxed)
-             : 0.0;
+  std::shared_ptr<const Serving> serving = serving_.Peek();
+  return serving != nullptr ? serving->seconds : 0.0;
 }
 
 RecordPebbles PreparedIndex::GenerateQueryPebbles(

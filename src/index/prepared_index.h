@@ -12,10 +12,8 @@
 #ifndef AUJOIN_INDEX_PREPARED_INDEX_H_
 #define AUJOIN_INDEX_PREPARED_INDEX_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -25,6 +23,7 @@
 #include "index/csr_index.h"
 #include "index/global_order.h"
 #include "index/pebble.h"
+#include "util/lazy_publish.h"
 #include "util/status.h"
 
 namespace aujoin {
@@ -47,10 +46,10 @@ struct PreparedRecord {
 /// Thread-safety model (the immutable-SST idea): Build is the only
 /// mutating phase and returns a shared_ptr to a const PreparedIndex;
 /// all const methods afterwards are concurrency-safe. The lazy serving
-/// index is double-checked under an internal mutex, so the first
-/// probes may block on its construction but never observe a partial
-/// index. Records are borrowed, not copied; they must outlive every
-/// holder of the index.
+/// index is built once and published through a LazyPublish
+/// (util/lazy_publish.h), so the first probes may block on its
+/// construction but never observe a partial index. Records are
+/// borrowed, not copied; they must outlive every holder of the index.
 class PreparedIndex {
  public:
   /// Runs the prepare step: pebble generation for both collections and
@@ -81,11 +80,10 @@ class PreparedIndex {
   /// every record, not just signature prefixes) — what online search
   /// probes. Staged through a mutable InvertedIndex and frozen into a
   /// CSR layout, so every probe is a sequential posting scan. Built on
-  /// first use under a mutex; subsequent calls are wait-free reads of
-  /// the completed index. When `built_seconds` is given it receives the
-  /// build time if and only if THIS call performed the build (0.0
-  /// otherwise), so concurrent first probes charge the cost exactly
-  /// once.
+  /// first use; subsequent calls read the published index without a
+  /// lock. The call that builds it adds the build seconds to
+  /// `*built_seconds`, so concurrent first probes charge the cost
+  /// exactly once.
   const CsrIndex& ServingIndex(double* built_seconds = nullptr) const;
 
   /// Wall seconds spent building the serving index; 0.0 until the
@@ -136,16 +134,12 @@ class PreparedIndex {
   const std::vector<Record>* t_records_ = nullptr;
   double prepare_seconds_ = 0.0;
 
-  // Lazy serving index: `serving_built_` is the release/acquire flag
-  // that publishes `serving_index_` + `index_seconds_` once built. The
-  // stats field is atomic so a stats poller racing the builder thread
-  // reads a whole double, never torn halves (relaxed is enough: the
-  // builder stores it before the release store of the flag, and every
-  // reader acquires the flag first).
-  mutable std::mutex serving_mutex_;
-  mutable std::atomic<bool> serving_built_{false};
-  mutable CsrIndex serving_index_;
-  mutable std::atomic<double> index_seconds_{0.0};
+  /// The serving index and its freeze seconds (0 when mounted).
+  struct Serving {
+    CsrIndex csr;
+    double seconds = 0.0;
+  };
+  LazyPublish<Serving> serving_;
 };
 
 }  // namespace aujoin

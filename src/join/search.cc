@@ -65,8 +65,8 @@ std::vector<Match> UnifiedSearcher::Probe(const Record& query,
   // thread exits, even if the index is dropped — acceptable for pooled
   // serving threads, and the join path's scoped per-worker accumulators
   // show the bounded alternative if a caller ever needs one.
-  double frozen_seconds = 0.0;
-  const CsrIndex& serving = index_->ServingIndex(&frozen_seconds);
+  const CsrIndex& serving =
+      index_->ServingIndex(stats != nullptr ? &stats->index_seconds : nullptr);
   thread_local CandidateAccumulator overlap;
   overlap.Begin(index_->t_prepared().size());
   // Resolve the whole signature's keys in one batched sweep (hashes
@@ -82,10 +82,7 @@ std::vector<Match> UnifiedSearcher::Probe(const Record& query,
       overlap.SelectGE(static_cast<uint32_t>(sig.effective_tau));
   std::vector<uint32_t> candidates(kept.begin(), kept.end());
   std::sort(candidates.begin(), candidates.end());
-  if (stats != nullptr) {
-    stats->candidates += candidates.size();
-    stats->index_seconds += frozen_seconds;
-  }
+  if (stats != nullptr) stats->candidates += candidates.size();
 
   // Per-query scratch state only from here on: one UsimComputer (whose
   // gram cache is not thread-safe).

@@ -35,38 +35,29 @@ ShardedIndex::ShardedIndex(const Knowledge& knowledge,
   }
 }
 
-ShardedIndex::~ShardedIndex() = default;
-
 size_t ShardedIndex::num_resident_shards() const {
   size_t resident = 0;
   for (const auto& shard : shards_) {
-    if (shard->ready.load(std::memory_order_acquire)) ++resident;
+    if (shard->index.Peek() != nullptr) ++resident;
   }
   return resident;
 }
 
 Result<std::shared_ptr<const PreparedIndex>> ShardedIndex::ShardIndex(
     size_t s, double* built_seconds) const {
-  Shard& shard = *shards_[s];
-  if (!shard.ready.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.index == nullptr) {
-      WallTimer timer;
-      if (shard.snapshot_path.empty()) {
-        shard.index = PreparedIndex::Build(knowledge_, msim_, shard.records,
-                                           nullptr);
-      } else {
-        Result<std::shared_ptr<const PreparedIndex>> loaded =
-            PreparedIndex::Load(knowledge_, msim_, shard.records, nullptr,
-                                shard.snapshot_path, env_);
-        if (!loaded.ok()) return loaded.status();
-        shard.index = std::move(*loaded);
-      }
-      if (built_seconds != nullptr) *built_seconds += timer.Seconds();
+  const Shard& shard = *shards_[s];
+  return shard.index.Get([&] {
+    WallTimer timer;
+    Result<std::shared_ptr<const PreparedIndex>> index =
+        shard.snapshot_path.empty()
+            ? PreparedIndex::Build(knowledge_, msim_, shard.records, nullptr)
+            : PreparedIndex::Load(knowledge_, msim_, shard.records, nullptr,
+                                  shard.snapshot_path, env_);
+    if (index.ok() && built_seconds != nullptr) {
+      *built_seconds += timer.Seconds();
     }
-    shard.ready.store(true, std::memory_order_release);
-  }
-  return shard.index;
+    return index;
+  });
 }
 
 Result<UnifiedSearcher> ShardedIndex::Searcher(size_t s,

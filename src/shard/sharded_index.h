@@ -8,17 +8,15 @@
 /// global ids; the store itself neither searches nor merges.
 ///
 /// Thread-safety: after construction every const method is safe to
-/// call concurrently. Each shard's index is built (or loaded) under a
-/// per-shard mutex with a release/acquire ready flag, so concurrent
-/// first probes block only on that one shard, never on each other.
+/// call concurrently. Each shard's index is built (or mounted) through
+/// its own LazyPublish, so concurrent first probes block only on that
+/// one shard, never on each other.
 
 #ifndef AUJOIN_SHARD_SHARDED_INDEX_H_
 #define AUJOIN_SHARD_SHARDED_INDEX_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -28,6 +26,7 @@
 #include "index/prepared_index.h"
 #include "join/search.h"
 #include "shard/shard_plan.h"
+#include "util/lazy_publish.h"
 #include "util/status.h"
 
 namespace aujoin {
@@ -41,7 +40,6 @@ class ShardedIndex {
   /// Shard indexes are built lazily; nothing heavy happens here.
   ShardedIndex(const Knowledge& knowledge, const MsimOptions& msim,
                const std::vector<Record>& records, const ShardPlan& plan);
-  ~ShardedIndex();
 
   ShardedIndex(const ShardedIndex&) = delete;
   ShardedIndex& operator=(const ShardedIndex&) = delete;
@@ -92,17 +90,13 @@ class ShardedIndex {
 
  private:
   /// One shard: the owned record slice (local ids), its global id map,
-  /// and the lazily built/mounted immutable index behind a
-  /// release/acquire flag (the Engine's LazyIndexState pattern,
-  /// per shard).
+  /// and the immutable index built or mounted at its first probe.
   struct Shard {
     std::vector<Record> records;
     std::vector<uint32_t> global_ids;
     /// Non-empty = mount from this snapshot file instead of building.
     std::string snapshot_path;
-    mutable std::mutex mutex;
-    mutable std::atomic<bool> ready{false};
-    mutable std::shared_ptr<const PreparedIndex> index;
+    LazyPublish<PreparedIndex> index;
   };
 
   Knowledge knowledge_;

@@ -15,19 +15,19 @@ GenerationalIndex::GenerationalIndex(const Knowledge& knowledge,
   for (size_t i = 0; i < initial.size(); ++i) {
     initial[i].id = static_cast<uint32_t>(i);
   }
-  frozen_ = BuildGeneration(knowledge_, msim_, std::move(initial));
+  frozen_ = std::make_shared<const Generation>(
+      std::make_shared<const std::vector<Record>>(std::move(initial)));
+  IndexOf(*frozen_);
 }
 
 GenerationalIndex::GenerationalIndex(
     const Knowledge& knowledge, const MsimOptions& msim,
     std::shared_ptr<const std::vector<Record>> records,
     std::shared_ptr<const PreparedIndex> index)
-    : knowledge_(knowledge), msim_(msim) {
-  auto gen = std::make_shared<Generation>();
-  gen->records = std::move(records);
-  gen->index = std::move(index);
-  frozen_ = std::move(gen);
-}
+    : knowledge_(knowledge),
+      msim_(msim),
+      frozen_(std::make_shared<const Generation>(std::move(records),
+                                                 std::move(index))) {}
 
 void GenerationalIndex::AttachWal(WalWriter* wal) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -96,7 +96,7 @@ Result<uint32_t> GenerationalIndex::AppendDurable(Record record) {
       e->done = true;
       --wal_in_flight_;
     }
-    if (flushed.ok()) staging_gen_.reset();
+    if (flushed.ok()) staging_slot_.reset();
     wal_cv_.notify_all();
   }
   wal_flush_in_flight_ = false;
@@ -105,15 +105,14 @@ Result<uint32_t> GenerationalIndex::AppendDurable(Record record) {
   return entry.id;
 }
 
-std::shared_ptr<const GenerationalIndex::Generation>
-GenerationalIndex::BuildGeneration(const Knowledge& knowledge,
-                                   const MsimOptions& msim,
-                                   std::vector<Record> records) {
-  auto gen = std::make_shared<Generation>();
-  gen->records =
-      std::make_shared<const std::vector<Record>>(std::move(records));
-  gen->index = PreparedIndex::Build(knowledge, msim, *gen->records, nullptr);
-  return gen;
+std::shared_ptr<const PreparedIndex> GenerationalIndex::IndexOf(
+    const Generation& gen, double* built_seconds) const {
+  return *gen.index.Get([&] {
+    std::shared_ptr<const PreparedIndex> built =
+        PreparedIndex::Build(knowledge_, msim_, *gen.records, nullptr);
+    if (built_seconds != nullptr) *built_seconds += built->prepare_seconds();
+    return built;
+  });
 }
 
 uint32_t GenerationalIndex::Append(Record record) {
@@ -125,7 +124,7 @@ uint32_t GenerationalIndex::Append(Record record) {
                                       staging_records_.size());
   record.id = id;
   staging_records_.push_back(std::move(record));
-  staging_gen_.reset();  // the next query re-prepares the staging side
+  staging_slot_.reset();  // the next query re-prepares the staging side
   return id;
 }
 
@@ -135,27 +134,25 @@ std::vector<UnifiedSearcher> GenerationalIndex::Pin(
   std::shared_ptr<const Generation> staging;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (staging_gen_ == nullptr && !staging_records_.empty()) {
-      // Prepare the staging mini index over a COPY of the buffer: a
-      // concurrent Append may grow (and reallocate) staging_records_
-      // while this generation is still serving queries.
-      staging_gen_ = BuildGeneration(knowledge_, msim_, staging_records_);
-      if (built_seconds != nullptr) {
-        *built_seconds += staging_gen_->index->prepare_seconds();
-      }
+    if (staging_slot_ == nullptr && !staging_records_.empty()) {
+      // The slot indexes a COPY of the buffer: a concurrent Append may
+      // grow (and reallocate) staging_records_ while this generation is
+      // still serving queries.
+      staging_slot_ = std::make_shared<const Generation>(
+          std::make_shared<const std::vector<Record>>(staging_records_));
     }
     frozen = frozen_;
-    staging = staging_gen_;
+    staging = staging_slot_;
   }
   // Each searcher's index pointer shares ownership of its whole
   // generation, so the records the index borrows stay alive with it.
   std::vector<UnifiedSearcher> slices;
   slices.emplace_back(
-      std::shared_ptr<const PreparedIndex>(frozen, frozen->index.get()));
+      std::shared_ptr<const PreparedIndex>(frozen, frozen->index.Peek().get()));
   if (staging != nullptr) {
-    slices.emplace_back(
-        std::shared_ptr<const PreparedIndex>(staging, staging->index.get()),
-        static_cast<uint32_t>(frozen->records->size()));
+    slices.emplace_back(std::shared_ptr<const PreparedIndex>(
+                            staging, IndexOf(*staging, built_seconds).get()),
+                        static_cast<uint32_t>(frozen->records->size()));
   }
   return slices;
 }
@@ -175,8 +172,9 @@ void GenerationalIndex::Refreeze() {
   }
   // The expensive part — pebble generation + freeze over the union —
   // runs with no lock held; queries keep serving the old generation.
-  std::shared_ptr<const Generation> next =
-      BuildGeneration(knowledge_, msim_, std::move(merged));
+  auto next = std::make_shared<const Generation>(
+      std::make_shared<const std::vector<Record>>(std::move(merged)));
+  IndexOf(*next);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     frozen_ = next;
@@ -185,7 +183,7 @@ void GenerationalIndex::Refreeze() {
     // records that left staging ahead of them.
     staging_records_.erase(staging_records_.begin(),
                            staging_records_.begin() + batch);
-    staging_gen_.reset();
+    staging_slot_.reset();
     ++generation_;
   }
 }
@@ -221,7 +219,7 @@ uint64_t GenerationalIndex::generation() const {
 
 std::shared_ptr<const PreparedIndex> GenerationalIndex::frozen_index() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return frozen_->index;
+  return frozen_->index.Peek();
 }
 
 }  // namespace aujoin

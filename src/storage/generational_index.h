@@ -14,12 +14,12 @@
 /// an LSM tree.
 ///
 /// Thread-safety: Append/Pin/Refreeze may all be called concurrently.
-/// Pin takes the mutex only long enough to pin both generation
-/// pointers (building the staging mini index on first use after an
-/// append); verification runs lock-free on the pinned immutable
-/// snapshots. Refreeze runs the expensive rebuild outside the mutex,
-/// so queries and appends proceed during compaction; concurrent
-/// Refreeze calls serialise on their own mutex.
+/// Pin takes the mutex only to pin the frozen generation and the
+/// staging slot, then builds the slot's mini index outside it, so an
+/// append never waits for a reader. Verification runs lock-free on the
+/// pinned immutable snapshots. Refreeze runs the expensive rebuild
+/// outside the mutex, so queries and appends proceed during compaction;
+/// concurrent Refreeze calls serialise on their own mutex.
 
 #ifndef AUJOIN_STORAGE_GENERATIONAL_INDEX_H_
 #define AUJOIN_STORAGE_GENERATIONAL_INDEX_H_
@@ -36,6 +36,7 @@
 #include "core/record.h"
 #include "index/prepared_index.h"
 #include "join/search.h"
+#include "util/lazy_publish.h"
 #include "util/status.h"
 
 namespace aujoin {
@@ -95,10 +96,11 @@ class GenerationalIndex {
   /// The slices a query is served from, pinned together: the frozen
   /// generation (global ids from 0) and, when records are staged, the
   /// staging generation (global ids from the frozen record count). An
-  /// append since the last pin makes this call build the staging mini
-  /// index first and add its seconds to `*built_seconds`. Each searcher
-  /// keeps its generation alive, so a refreeze swap never invalidates a
-  /// query in flight. Search them with SearchSlices.
+  /// append since the last pin makes this call (or a concurrent one)
+  /// build the staging mini index, off the mutex, and add its seconds to
+  /// `*built_seconds`. Each searcher keeps its generation alive, so a
+  /// refreeze swap never invalidates a query in flight; a query answers
+  /// from the records staged when it pinned. Search with SearchSlices.
   std::vector<UnifiedSearcher> Pin(double* built_seconds = nullptr) const;
 
   /// Compacts frozen + staging into a new frozen generation. The
@@ -130,15 +132,21 @@ class GenerationalIndex {
 
  private:
   /// One immutable generation: the records and the index borrowing
-  /// them, destroyed together once the last query lets go.
+  /// them, destroyed together once the last query lets go. A frozen
+  /// generation is installed built; the staging slot's index is built
+  /// by the first Pin after an append.
   struct Generation {
+    explicit Generation(std::shared_ptr<const std::vector<Record>> records,
+                        std::shared_ptr<const PreparedIndex> index = nullptr)
+        : records(std::move(records)), index(std::move(index)) {}
     std::shared_ptr<const std::vector<Record>> records;
-    std::shared_ptr<const PreparedIndex> index;
+    LazyPublish<PreparedIndex> index;
   };
 
-  static std::shared_ptr<const Generation> BuildGeneration(
-      const Knowledge& knowledge, const MsimOptions& msim,
-      std::vector<Record> records);
+  /// `gen`'s index, built over its records on first use (never under
+  /// mutex_); the call that builds it adds its seconds to `*built_seconds`.
+  std::shared_ptr<const PreparedIndex> IndexOf(
+      const Generation& gen, double* built_seconds = nullptr) const;
 
   Knowledge knowledge_;
   MsimOptions msim_;
@@ -146,9 +154,9 @@ class GenerationalIndex {
   mutable std::mutex mutex_;
   std::shared_ptr<const Generation> frozen_;
   std::vector<Record> staging_records_;
-  /// Lazily built over a copy of `staging_records_`; reset by Append
-  /// and Refreeze. Mutable: queries build it on demand.
-  mutable std::shared_ptr<const Generation> staging_gen_;
+  /// Created by a Pin over a copy of `staging_records_`; every change to
+  /// those drops it (never touching a build in progress).
+  mutable std::shared_ptr<const Generation> staging_slot_;
   uint64_t generation_ = 0;
 
   /// One queued durable append: the record to stage once its batch is

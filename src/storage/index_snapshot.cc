@@ -700,11 +700,11 @@ Result<std::shared_ptr<const PreparedIndex>> PreparedIndex::Load(
       *keys_r, num_keys, *offsets_r, *postings_r, num_postings, *slots_r,
       num_slots, meta.csr_record_universe, reader);
   if (!csr.ok()) return csr.status();
-  index->serving_index_ = std::move(*csr);
-  // The serving index exists from birth; index_seconds() stays 0.0
-  // because this process never paid the freeze (callers measure the
-  // snapshot load separately).
-  index->serving_built_.store(true, std::memory_order_release);
+  // Published from birth with 0 s: this process never paid the freeze
+  // (callers measure the snapshot load separately).
+  index->serving_.Get([&] {
+    return std::make_shared<const Serving>(Serving{std::move(*csr)});
+  });
   return std::shared_ptr<const PreparedIndex>(std::move(index));
 }
 

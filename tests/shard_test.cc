@@ -310,6 +310,35 @@ TEST_F(ShardJoinTest, ShardedRsJoinMatchesMonolithic) {
   }
 }
 
+// The tuner path joins through Engine::Join, so the engine's shards and
+// spill budget shape the tuned join exactly as they shape any other.
+TEST_F(ShardJoinTest, SuggestedTauJoinRunsOnTheEnginesShardsAndSpills) {
+  const std::string dir = TempPath("tuned_spill_dir");
+  ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
+  const EngineJoinOptions options = {.theta = 0.7};
+  TunerOptions tuner;
+  tuner.theta = options.theta;
+  tuner.sample_prob_s = tuner.sample_prob_t = 0.5;
+
+  // A 1-byte budget spills after every buffered pair.
+  Engine sharded = MakeEngine(3, ShardBy::kHash, 1, /*spill_budget=*/1, dir);
+  TauRecommendation rec;
+  Result<JoinResult> tuned = sharded.JoinWithSuggestedTau(options, tuner, &rec);
+  ASSERT_TRUE(tuned.ok()) << tuned.status().ToString();
+
+  Engine monolithic = MakeEngine(0);
+  Result<JoinResult> mono =
+      monolithic.Join("unified", {.theta = 0.7, .tau = rec.best_tau});
+  ASSERT_TRUE(mono.ok());
+  ASSERT_FALSE(mono->pairs.empty());
+  EXPECT_EQ(tuned->pairs, mono->pairs) << "tau=" << rec.best_tau;
+  EXPECT_EQ(tuned->stats.shards, 3u);
+  EXPECT_GT(tuned->stats.spill_runs, 0u);
+  EXPECT_GT(tuned->stats.suggest_seconds, 0.0);
+  EXPECT_EQ(SpillLeaks(dir), std::vector<std::string>{});
+  ::rmdir(dir.c_str());
+}
+
 // Parity on a generated corpus big enough for a real shard grid.
 TEST(ShardCorpusTest, GeneratedCorpusShardParityAcrossAlgorithms) {
   Vocabulary vocab;
@@ -850,7 +879,7 @@ TEST_F(ShardSpillTest, EveryKillPointSurfacesTypedErrorsAndNoLeaks) {
 
 // Many threads race Search / TopK / BatchSearch against ONE sharded
 // engine whose shards build lazily — the TSan job runs this under
-// `ctest -R Shard` to certify the per-shard double-checked publication.
+// `ctest -R Shard` to certify the per-shard LazyPublish publication.
 TEST(ShardConcurrencyTest, ConcurrentQueriesAgreeWithTheMonolithicOracle) {
   Figure1World world;
   std::vector<std::string> texts = {

@@ -1,6 +1,9 @@
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +11,7 @@
 #include "util/flags.h"
 #include "util/hash.h"
 #include "util/io.h"
+#include "util/lazy_publish.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -121,6 +125,95 @@ TEST(ResultTest, HoldsError) {
   Result<int> r = Status::NotFound("nope");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+}
+
+// --- LazyPublish: build once, publish to lock-free readers ----------
+
+TEST(LazyPublishTest, ConcurrentFirstGetsBuildOnceAndShareOnePointer) {
+  LazyPublish<int> lazy;
+  std::atomic<int> builds{0};
+  std::atomic<bool> go{false};
+  constexpr int kThreads = 8;
+  std::vector<std::shared_ptr<const int>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      Result<std::shared_ptr<const int>> value = lazy.Get([&] {
+        ++builds;
+        // Hold the build open so the other first callers pile up on it.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return std::make_shared<const int>(42);
+      });
+      if (value.ok()) seen[t] = *value;
+    });
+  }
+  go.store(true);
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(builds.load(), 1);
+  ASSERT_NE(seen[0], nullptr);
+  EXPECT_EQ(*seen[0], 42);
+  for (const std::shared_ptr<const int>& value : seen) {
+    EXPECT_EQ(value, seen[0]);
+  }
+  EXPECT_EQ(lazy.Peek(), seen[0]);
+}
+
+TEST(LazyPublishTest, FailedBuildPublishesNothingAndTheNextGetRetries) {
+  LazyPublish<int> lazy;
+  int builds = 0;
+  auto failing = [&]() -> Result<std::shared_ptr<const int>> {
+    ++builds;
+    return Status::Corruption("damaged");
+  };
+  Result<std::shared_ptr<const int>> first = lazy.Get(failing);
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(lazy.Peek(), nullptr);
+  EXPECT_FALSE(lazy.Get(failing).ok());
+  EXPECT_EQ(builds, 2);
+
+  Result<std::shared_ptr<const int>> retried = lazy.Get([&] {
+    ++builds;
+    return std::make_shared<const int>(7);
+  });
+  ASSERT_TRUE(retried.ok());
+  EXPECT_EQ(**retried, 7);
+  EXPECT_EQ(builds, 3);
+  EXPECT_EQ(lazy.Peek(), *retried);
+  // Published: later builds, failing or not, never run.
+  Result<std::shared_ptr<const int>> again = lazy.Get(failing);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *retried);
+  EXPECT_EQ(builds, 3);
+}
+
+TEST(LazyPublishTest, PeekNeverBuilds) {
+  LazyPublish<int> lazy;
+  EXPECT_EQ(lazy.Peek(), nullptr);
+  EXPECT_EQ(lazy.Peek(), nullptr);
+  int builds = 0;
+  Result<std::shared_ptr<const int>> built = lazy.Get([&] {
+    ++builds;
+    return std::make_shared<const int>(1);
+  });
+  ASSERT_TRUE(built.ok());
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(lazy.Peek(), *built);
+}
+
+TEST(LazyPublishTest, ConstructedWithAValueNeverCallsItsBuild) {
+  auto value = std::make_shared<const int>(5);
+  LazyPublish<int> lazy(value);
+  EXPECT_EQ(lazy.Peek(), value);
+  int builds = 0;
+  Result<std::shared_ptr<const int>> got = lazy.Get([&] {
+    ++builds;
+    return std::make_shared<const int>(6);
+  });
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, value);
+  EXPECT_EQ(builds, 0);
 }
 
 TEST(RngTest, UniformStaysInRange) {

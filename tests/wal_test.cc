@@ -1001,50 +1001,71 @@ TEST(WalConcurrencyTest, AppendsRaceQueriesAndRefreezeThenRecoverInParity) {
   options.theta = 0.5;
   options.tau = 1;
 
-  std::atomic<bool> done{false};
+  // Two racing passes, each over half the appends: the first without
+  // the refreezer, so appends land beside staging slots the readers
+  // keep building, the second with it.
   std::atomic<bool> append_failed{false};
-  std::thread appender([&] {
-    for (size_t i = 0; i < appends.size(); ++i) {
-      Result<uint32_t> id = generational.AppendDurable(appends[i]);
-      if (!id.ok() || *id != base.size() + i) {
-        append_failed.store(true);
-        break;
-      }
-    }
-    done.store(true);
-  });
-  std::thread refreezer([&] {
-    while (!done.load()) {
-      generational.Refreeze();
-      std::this_thread::yield();
-    }
-  });
-  std::vector<std::thread> queriers;
+  std::atomic<bool> append_invisible{false};
   std::atomic<bool> query_failed{false};
-  for (int t = 0; t < 2; ++t) {
-    queriers.emplace_back([&] {
-      while (!done.load()) {
-        for (const Record& query : queries) {
-          std::vector<UnifiedSearcher::Match> matches = SearchSlices(
-              query, kAllMatches, options, generational.Pin());
-          // Sanity under the race: serving order and id bounds hold on
-          // every intermediate state. (Exact parity is checked once the
-          // dust settles.)
-          for (size_t i = 0; i < matches.size(); ++i) {
-            if (matches[i].id >= generational.size() ||
-                (i > 0 &&
-                 matches[i - 1].similarity < matches[i].similarity)) {
-              query_failed.store(true);
+  auto race = [&](size_t begin, size_t end, bool refreeze) {
+    std::atomic<bool> done{false};
+    std::thread appender([&] {
+      for (size_t i = begin; i < end; ++i) {
+        Result<uint32_t> id = generational.AppendDurable(appends[i]);
+        if (!id.ok() || *id != base.size() + i) {
+          append_failed.store(true);
+          break;
+        }
+        // Read-your-write under the race: the acknowledged record
+        // answers a query for its own text at once, whatever staging
+        // slot the queriers last built and wherever the refreezer has
+        // moved it.
+        std::vector<UnifiedSearcher::Match> own =
+            SearchSlices(appends[i], kAllMatches, options, generational.Pin());
+        if (std::none_of(
+                own.begin(), own.end(),
+                [&](const UnifiedSearcher::Match& m) { return m.id == *id; })) {
+          append_invisible.store(true);
+        }
+      }
+      done.store(true);
+    });
+    std::thread refreezer([&] {
+      while (refreeze && !done.load()) {
+        generational.Refreeze();
+        std::this_thread::yield();
+      }
+    });
+    std::vector<std::thread> queriers;
+    for (int t = 0; t < 2; ++t) {
+      queriers.emplace_back([&] {
+        while (!done.load()) {
+          for (const Record& query : queries) {
+            std::vector<UnifiedSearcher::Match> matches =
+                SearchSlices(query, kAllMatches, options, generational.Pin());
+            // Sanity under the race: serving order and id bounds hold
+            // on every intermediate state. (Exact parity is checked
+            // once the dust settles.)
+            for (size_t i = 0; i < matches.size(); ++i) {
+              if (matches[i].id >= generational.size() ||
+                  (i > 0 &&
+                   matches[i - 1].similarity < matches[i].similarity)) {
+                query_failed.store(true);
+              }
             }
           }
         }
-      }
-    });
-  }
-  appender.join();
-  refreezer.join();
-  for (std::thread& querier : queriers) querier.join();
+      });
+    }
+    appender.join();
+    refreezer.join();
+    for (std::thread& querier : queriers) querier.join();
+  };
+  race(0, appends.size() / 2, /*refreeze=*/false);
+  race(appends.size() / 2, appends.size(), /*refreeze=*/true);
   ASSERT_FALSE(append_failed.load());
+  EXPECT_FALSE(append_invisible.load())
+      << "an acknowledged append was missing from the next query";
   ASSERT_FALSE(query_failed.load());
 
   // Settled parity: the raced index answers exactly like a scratch

@@ -2,7 +2,7 @@
 // vs mounting the versioned on-disk snapshot (storage/snapshot_*.h),
 // plus the LSM-style generational append + refreeze path. Three phases:
 //
-//   rebuild   — PreparedIndex::Build + the CSR freeze, repeated
+//   rebuild   — PreparedIndex::Build + the CSR build, repeated
 //               --repeat times (the pre-snapshot cold-start cost)
 //   snapshot  — Save() once (write cost + file size), then Load()
 //               repeated --repeat times (the mmap cold-start cost)
@@ -67,7 +67,7 @@ int Run(int argc, char** argv) {
   std::string out_path = flags.GetString("out", "BENCH_" + name + ".json");
 
   PrintBanner("snapshot cold-start bench", "serving-index persistence",
-              "mmap snapshot load beats pebble generation + CSR freeze");
+              "mmap snapshot load beats pebble generation + CSR build");
   std::printf("corpus: profile=%s strings=%zu theta=%.2f tau=%d repeat=%d\n",
               profile.c_str(), strings, theta, tau, repeat);
 

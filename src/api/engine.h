@@ -125,7 +125,7 @@ struct SearchStats {
   /// or callback) this counts matches actually emitted — a consumer
   /// that stops early caps it, including the match it declined.
   uint64_t results = 0;
-  /// One-time index build (prepare + CSR freeze) or mount seconds,
+  /// One-time index build (prepare + CSR build) or mount seconds,
   /// charged to the call that paid them; with shards built in
   /// parallel, the busiest worker's share. Never exceeds
   /// search_seconds.
@@ -213,7 +213,7 @@ class Engine {
   Status SaveIndex(const std::string& path) const;
 
   /// Replaces the lazy prepared index with one loaded from a snapshot,
-  /// skipping pebble generation and the CSR freeze (the mmap
+  /// skipping pebble generation and the CSR build (the mmap
   /// cold-start path). Records must already be bound and must match
   /// the snapshot's fingerprints (kFailedPrecondition otherwise;
   /// damaged files return kCorruption). On failure the engine is

@@ -15,53 +15,102 @@ void CsrIndex::BindOwned() {
   num_slots_ = owned_slots_.size();
 }
 
-CsrIndex CsrIndex::Freeze(const InvertedIndex& staging) {
-  CsrIndex out;
-  const auto& postings_map = staging.postings();
-  out.owned_keys_.reserve(postings_map.size());
-  for (const auto& [key, ids] : postings_map) {
-    if (!ids.empty()) out.owned_keys_.push_back(key);
+std::vector<uint32_t> CsrIndex::SlotTable(const std::vector<uint64_t>& keys,
+                                          size_t size) {
+  std::vector<uint32_t> table(size, kEmptySlot);
+  const size_t mask = size - 1;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    size_t h = MixKey(keys[i]) & mask;
+    while (table[h] != kEmptySlot) h = (h + 1) & mask;
+    table[h] = static_cast<uint32_t>(i);
   }
-  // Ascending key order makes the layout (and every probe's posting
-  // scan) deterministic regardless of the staging map's bucket order.
-  std::sort(out.owned_keys_.begin(), out.owned_keys_.end());
+  return table;
+}
 
-  out.owned_offsets_.resize(out.owned_keys_.size() + 1, 0);
-  uint64_t total = 0;
-  for (const auto& [key, ids] : postings_map) total += ids.size();
-
-  out.owned_postings_.reserve(total);
-  std::vector<uint32_t> run;
-  for (size_t slot = 0; slot < out.owned_keys_.size(); ++slot) {
-    out.owned_offsets_[slot] =
-        static_cast<uint32_t>(out.owned_postings_.size());
-    run = postings_map.at(out.owned_keys_[slot]);
-    // The staging Add dedupes within one record, but the same record may
-    // legitimately be Added more than once (or out of id order) by an
-    // arbitrary builder; the frozen contract is sorted + distinct.
-    std::sort(run.begin(), run.end());
-    run.erase(std::unique(run.begin(), run.end()), run.end());
-    for (uint32_t id : run) {
-      out.record_universe_ =
-          std::max(out.record_universe_, static_cast<size_t>(id) + 1);
+CsrIndex CsrIndex::Build(
+    size_t num_records,
+    const std::function<void(size_t record, std::vector<uint64_t>* keys)>&
+        keys_of) {
+  // Pass 1: intern each key to a dense id (first-seen order) in a
+  // growable linear-probe table, and list every record's distinct ids,
+  // record-major. An id's stamp is the last record that posted it
+  // (kEmptySlot: none yet), so repeats within a record post once.
+  std::vector<uint64_t> id_keys;
+  std::vector<uint32_t> id_counts;
+  std::vector<uint32_t> id_stamps;
+  std::vector<uint32_t> table(1024, kEmptySlot);
+  std::vector<uint32_t> record_ids;
+  std::vector<size_t> record_ends(num_records);
+  size_t record_universe = 0;
+  std::vector<uint64_t> keys;
+  for (size_t r = 0; r < num_records; ++r) {
+    keys.clear();
+    keys_of(r, &keys);
+    const uint32_t record = static_cast<uint32_t>(r);
+    for (uint64_t key : keys) {
+      const size_t mask = table.size() - 1;
+      size_t h = MixKey(key) & mask;
+      while (table[h] != kEmptySlot && id_keys[table[h]] != key) {
+        h = (h + 1) & mask;
+      }
+      uint32_t id = table[h];
+      if (id == kEmptySlot) {
+        id = static_cast<uint32_t>(id_keys.size());
+        table[h] = id;
+        id_keys.push_back(key);
+        id_counts.push_back(0);
+        id_stamps.push_back(kEmptySlot);
+        if (id_keys.size() * 2 > table.size()) {
+          table = SlotTable(id_keys, table.size() * 2);
+        }
+      }
+      if (id_stamps[id] == record) continue;
+      id_stamps[id] = record;
+      ++id_counts[id];
+      record_ids.push_back(id);
     }
-    out.owned_postings_.insert(out.owned_postings_.end(), run.begin(),
-                               run.end());
+    if (!keys.empty()) record_universe = r + 1;
+    record_ends[r] = record_ids.size();
   }
-  out.owned_offsets_[out.owned_keys_.size()] =
-      static_cast<uint32_t>(out.owned_postings_.size());
 
-  // Linear-probe table at <= 50% load: next power of two >= 2 * keys.
-  size_t table_size = 1;
-  while (table_size < out.owned_keys_.size() * 2) table_size <<= 1;
-  out.owned_slots_.assign(out.owned_keys_.empty() ? 0 : table_size,
-                          kEmptySlot);
-  out.mask_ = table_size - 1;
-  for (size_t slot = 0; slot < out.owned_keys_.size(); ++slot) {
-    size_t h = MixKey(out.owned_keys_[slot]) & out.mask_;
-    while (out.owned_slots_[h] != kEmptySlot) h = (h + 1) & out.mask_;
-    out.owned_slots_[h] = static_cast<uint32_t>(slot);
+  // Keys ascending: a key's rank is its slot, and its run starts at the
+  // prefix sum of the counts before it. Each id's count becomes its
+  // run's write cursor.
+  const size_t num_keys = id_keys.size();
+  std::vector<uint32_t> by_key(num_keys);  // slot -> dense id
+  for (size_t i = 0; i < num_keys; ++i) by_key[i] = static_cast<uint32_t>(i);
+  std::sort(by_key.begin(), by_key.end(),
+            [&](uint32_t a, uint32_t b) { return id_keys[a] < id_keys[b]; });
+  CsrIndex out;
+  out.owned_keys_.resize(num_keys);
+  out.owned_offsets_.resize(num_keys + 1);
+  uint32_t total = 0;
+  for (size_t slot = 0; slot < num_keys; ++slot) {
+    const uint32_t id = by_key[slot];
+    out.owned_keys_[slot] = id_keys[id];
+    out.owned_offsets_[slot] = total;
+    total += std::exchange(id_counts[id], total);
   }
+  out.owned_offsets_[num_keys] = total;
+
+  // Pass 2: records in order, so every run comes out ascending.
+  out.owned_postings_.resize(total);
+  size_t begin = 0;
+  for (size_t r = 0; r < num_records; ++r) {
+    for (size_t e = begin; e < record_ends[r]; ++e) {
+      out.owned_postings_[id_counts[record_ids[e]]++] =
+          static_cast<uint32_t>(r);
+    }
+    begin = record_ends[r];
+  }
+
+  // The key -> slot table at <= 50% load: next power of two >= 2 * keys.
+  size_t table_size = 1;
+  while (table_size < num_keys * 2) table_size <<= 1;
+  out.owned_slots_ =
+      SlotTable(out.owned_keys_, num_keys == 0 ? 0 : table_size);
+  out.mask_ = table_size - 1;
+  out.record_universe_ = record_universe;
   out.BindOwned();
   return out;
 }

@@ -1,17 +1,16 @@
 /// \file
-/// The frozen CSR (compressed sparse row) candidate index — the
-/// cache-friendly read side of candidate generation. A mutable
-/// InvertedIndex (a pointer-chasing hash map of vectors) is only the
-/// build-time staging structure; Freeze sorts and dedupes every
-/// (key -> record) posting into one flat offsets[] + postings[] pair
-/// with a compact open-addressed key -> slot table, so probes are a
-/// single hash step followed by a sequential scan of a contiguous
-/// posting run. CandidateAccumulator is the matching count-based merge
-/// scratch: probes accumulate per-record occurrence counts into a
-/// reusable epoch-stamped array instead of deduping through a hash set.
+/// The CSR (compressed sparse row) candidate index — the cache-friendly
+/// read side of candidate generation. Build lays every distinct
+/// (key -> record) posting out by counting, straight from each record's
+/// key list: one flat offsets[] + postings[] pair with a compact
+/// open-addressed key -> slot table, so probes are a single hash step
+/// followed by a sequential scan of a contiguous posting run.
+/// CandidateAccumulator is the matching count-based merge scratch:
+/// probes accumulate per-record occurrence counts into a reusable
+/// epoch-stamped array instead of deduping through a hash set.
 ///
 /// Storage model: the index reads through raw-pointer views that
-/// either point at its own vectors (Freeze) or at externally owned
+/// either point at its own vectors (Build) or at externally owned
 /// flat arrays (FromSections — the mmap'd snapshot sections of
 /// storage/snapshot_reader.h, kept alive by the shared owner handle).
 /// Either way every probe method is const and thread-safe, and the
@@ -23,18 +22,18 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
-#include "index/inverted_index.h"
 #include "util/status.h"
 
 namespace aujoin {
 
 /// Immutable CSR posting storage over 64-bit pebble keys. Obtained by
-/// freezing a staging InvertedIndex or by adopting snapshot sections;
-/// afterwards every method is const and safe to call from any number
-/// of threads concurrently.
+/// building it from per-record key lists or by adopting snapshot
+/// sections; afterwards every method is const and safe to call from any
+/// number of threads concurrently.
 class CsrIndex {
  public:
   /// One key's posting run: a contiguous span of ascending, distinct
@@ -52,19 +51,28 @@ class CsrIndex {
 
   // The views alias the owned vectors' heap buffers, which vector
   // moves transfer intact — so moving is safe, but a copy would leave
-  // the views pointing into the source. Share a frozen index through
+  // the views pointing into the source. Share a built index through
   // shared_ptr (the PreparedIndex pattern) instead of copying it.
   CsrIndex(const CsrIndex&) = delete;
   CsrIndex& operator=(const CsrIndex&) = delete;
   CsrIndex(CsrIndex&&) = default;
   CsrIndex& operator=(CsrIndex&&) = default;
 
-  /// Freezes the staging map: keys are laid out in ascending key order,
-  /// each posting run sorted and deduped, and a linear-probe table maps
-  /// key -> slot. The staging structure can be discarded afterwards.
-  static CsrIndex Freeze(const InvertedIndex& staging);
+  /// Builds the index over records 0..num_records-1 by counting.
+  /// `keys_of(record, keys)` appends the record's keys to the emptied
+  /// `*keys`, in any order and with repeats. The posting rule lives
+  /// here: one posting per distinct (key, record), every run ascending,
+  /// keys laid out ascending, and a linear-probe table at <= 50% load
+  /// maps key -> slot. record_universe() is the last record with a key,
+  /// plus one. Two passes: the first interns each key to a dense id and
+  /// lists each record's distinct ids; the second writes each record id
+  /// into its keys' runs, in record order.
+  static CsrIndex Build(
+      size_t num_records,
+      const std::function<void(size_t record, std::vector<uint64_t>* keys)>&
+          keys_of);
 
-  /// Adopts already-frozen flat sections without copying them — the
+  /// Adopts already-built flat sections without copying them — the
   /// mmap cold-start path. `owner` keeps the backing memory (e.g. a
   /// SnapshotReader's mapping) alive for the index's lifetime. Every
   /// structural invariant is re-validated here (ascending keys,
@@ -111,20 +119,12 @@ class CsrIndex {
 
   size_t num_keys() const { return num_keys_; }
 
-  /// Distinct (key, record) postings — duplicates are gone after Freeze.
+  /// Distinct (key, record) postings.
   uint64_t total_postings() const { return num_postings_; }
 
   /// 1 + the largest posted record id (0 when empty): the universe a
   /// CandidateAccumulator must cover to count this index's postings.
   size_t record_universe() const { return record_universe_; }
-
-  /// Bytes of the frozen layout (keys + offsets + postings + table) —
-  /// heap bytes when owned, mapped bytes when snapshot-backed.
-  size_t memory_bytes() const {
-    return num_keys_ * sizeof(uint64_t) +
-           (num_keys_ == 0 ? 0 : (num_keys_ + 1)) * sizeof(uint32_t) +
-           num_postings_ * sizeof(uint32_t) + num_slots_ * sizeof(uint32_t);
-  }
 
   /// True when the arrays live in externally owned memory (a snapshot
   /// mapping) rather than this object's vectors.
@@ -166,7 +166,13 @@ class CsrIndex {
     }
   }
 
-  /// Points the views at the owned vectors (after Freeze fills them).
+  /// A linear-probe table of `size` slots (0, or a power of two above
+  /// keys.size()) holding 0..keys.size()-1, inserted in that order
+  /// from their keys' home slots.
+  static std::vector<uint32_t> SlotTable(const std::vector<uint64_t>& keys,
+                                         size_t size);
+
+  /// Points the views at the owned vectors (after Build fills them).
   void BindOwned();
 
   // Owned storage (empty in snapshot-view mode).

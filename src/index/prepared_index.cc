@@ -1,6 +1,7 @@
 #include "index/prepared_index.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "util/timer.h"
 
@@ -53,19 +54,14 @@ const CsrIndex& PreparedIndex::ServingIndex(double* built_seconds) const {
   Result<std::shared_ptr<const Serving>> serving = serving_.Get([&] {
     WallTimer timer;
     const std::vector<PreparedRecord>& prepared = t_prepared();
-    InvertedIndex staging;
-    std::vector<uint64_t> keys;
-    for (size_t i = 0; i < prepared.size(); ++i) {
-      keys.clear();
-      keys.reserve(prepared[i].pebbles.pebbles.size());
-      for (const Pebble& p : prepared[i].pebbles.pebbles) {
-        keys.push_back(p.key);
-      }
-      // Add dedupes the record's repeated keys itself — one posting
-      // per distinct key, even for duplicate-heavy pebble lists.
-      staging.Add(static_cast<uint32_t>(i), keys);
-    }
-    CsrIndex csr = CsrIndex::Freeze(staging);
+    // Build dedupes each record's repeated pebble keys itself — one
+    // posting per distinct key, even for duplicate-heavy pebble lists.
+    CsrIndex csr = CsrIndex::Build(
+        prepared.size(), [&](size_t i, std::vector<uint64_t>* keys) {
+          for (const Pebble& p : prepared[i].pebbles.pebbles) {
+            keys->push_back(p.key);
+          }
+        });
     const double seconds = timer.Seconds();
     if (built_seconds != nullptr) *built_seconds += seconds;
     return std::make_shared<const Serving>(Serving{std::move(csr), seconds});

@@ -78,12 +78,11 @@ class PreparedIndex {
 
   /// The full-key index over the T side (every distinct pebble key of
   /// every record, not just signature prefixes) — what online search
-  /// probes. Staged through a mutable InvertedIndex and frozen into a
-  /// CSR layout, so every probe is a sequential posting scan. Built on
-  /// first use; subsequent calls read the published index without a
-  /// lock. The call that builds it adds the build seconds to
-  /// `*built_seconds`, so concurrent first probes charge the cost
-  /// exactly once.
+  /// probes. Built by counting into a CSR layout, so every probe is a
+  /// sequential posting scan. Built on first use; subsequent calls read
+  /// the published index without a lock. The call that builds it adds
+  /// the build seconds to `*built_seconds`, so concurrent first probes
+  /// charge the cost exactly once.
   const CsrIndex& ServingIndex(double* built_seconds = nullptr) const;
 
   /// Wall seconds spent building the serving index; 0.0 until the
@@ -134,7 +133,7 @@ class PreparedIndex {
   const std::vector<Record>* t_records_ = nullptr;
   double prepare_seconds_ = 0.0;
 
-  /// The serving index and its freeze seconds (0 when mounted).
+  /// The serving index and its build seconds (0 when mounted).
   struct Serving {
     CsrIndex csr;
     double seconds = 0.0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "index/csr_index.h"
-#include "index/inverted_index.h"
 #include "util/parallel.h"
 #include "util/timer.h"
 
@@ -85,16 +84,15 @@ JoinContext::FilterOutput JoinContext::RunFilter(
   // Candidate generation: index T's signatures by *position* in t_ids
   // (dense 0..|T|-1, so counts live in flat arrays and the position
   // doubles as the handle to the indexed signature's effective tau),
-  // freeze the staging map into CSR form, probe S. Each probe merges
-  // whole posting runs into a reusable epoch-stamped scratch and
+  // build the CSR index over them by counting, probe S. Each probe
+  // merges whole posting runs into a reusable epoch-stamped scratch and
   // selects survivors by required overlap — sequential scans of
   // contiguous runs instead of per-key hash lookups and hash-map dedup.
   timer.Restart();
-  InvertedIndex staging;
-  for (size_t j = 0; j < t_ids.size(); ++j) {
-    staging.Add(static_cast<uint32_t>(j), t_side[j].keys);
-  }
-  const CsrIndex index = CsrIndex::Freeze(staging);
+  const CsrIndex index = CsrIndex::Build(
+      t_ids.size(), [&](size_t j, std::vector<uint64_t>* keys) {
+        *keys = t_side[j].keys;
+      });
   // The indexed side's effective taus by position, for the
   // min(probe, indexed) required-overlap select.
   std::vector<uint32_t> t_eff(t_ids.size());

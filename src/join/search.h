@@ -91,7 +91,7 @@ class UnifiedSearcher {
     /// Candidate records surviving the signature filter (verified).
     uint64_t candidates = 0;
     /// Seconds spent on one-time index work this call paid for: the
-    /// CSR freeze of a probed index, plus — under SearchSlices — any
+    /// CSR build of a probed index, plus — under SearchSlices — any
     /// slice build or mount. With slices resolved in parallel it is the
     /// busiest worker's share, so it never exceeds the call's wall time.
     double index_seconds = 0.0;

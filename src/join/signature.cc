@@ -286,10 +286,9 @@ Signature SelectSignature(const RecordPebbles& rp, size_t num_tokens,
   }
 
   // Sorted + distinct is a load-bearing invariant, not a convenience:
-  // the staging InvertedIndex::Add takes its allocation-free fast path
-  // on sorted keys, and the count-based candidate merge equates "count
-  // of accumulated postings" with "distinct shared keys" — a duplicate
-  // here would double-count overlaps past the tau threshold.
+  // the count-based candidate merge equates "count of accumulated
+  // postings" with "distinct shared keys" — a duplicate here would
+  // double-count overlaps past the tau threshold.
   sig.keys.reserve(sig.prefix_len);
   for (size_t i = 0; i < sig.prefix_len; ++i) {
     sig.keys.push_back(rp.pebbles[i].key);

@@ -170,7 +170,7 @@ void GenerationalIndex::Refreeze() {
     merged.insert(merged.end(), staging_records_.begin(),
                   staging_records_.begin() + batch);
   }
-  // The expensive part — pebble generation + freeze over the union —
+  // The expensive part — pebble generation + CSR build over the union —
   // runs with no lock held; queries keep serving the old generation.
   auto next = std::make_shared<const Generation>(
       std::make_shared<const std::vector<Record>>(std::move(merged)));

@@ -447,7 +447,7 @@ std::vector<uint8_t> EncodeAppendedTexts(const std::vector<Record>& records,
 Status SaveSnapshotImpl(const PreparedIndex& index, const std::string& path,
                         Env* env, const std::vector<uint8_t>* appended_texts) {
   // The snapshot's whole point is skipping the two expensive phases
-  // (pebble generation and the CSR freeze), so the CSR must exist
+  // (pebble generation and the CSR build), so the CSR must exist
   // before serialisation; ServingIndex() builds it on first use.
   const CsrIndex& csr = index.ServingIndex();
 
@@ -700,7 +700,7 @@ Result<std::shared_ptr<const PreparedIndex>> PreparedIndex::Load(
       *keys_r, num_keys, *offsets_r, *postings_r, num_postings, *slots_r,
       num_slots, meta.csr_record_universe, reader);
   if (!csr.ok()) return csr.status();
-  // Published from birth with 0 s: this process never paid the freeze
+  // Published from birth with 0 s: this process never paid the build
   // (callers measure the snapshot load separately).
   index->serving_.Get([&] {
     return std::make_shared<const Serving>(Serving{std::move(*csr)});

@@ -1,8 +1,8 @@
 // CSR / legacy-map candidate-generation parity on the checked-in
 // data/ fixture. The CSR swap (index/csr_index.h) must be a pure
-// layout change: a reference probe over the old pointer-chasing
-// InvertedIndex — kept verbatim from the pre-CSR RunFilter — has to
-// produce the same candidates, every registry algorithm has to keep
+// layout change: a reference probe over a pointer-chasing hash map of
+// posting vectors — the pre-CSR RunFilter's shape — has to produce
+// the same candidates, every registry algorithm has to keep
 // its pairs/stats, the partitioned pipeline has to agree with the
 // monolithic path, and Engine::Search has to equal a brute-force scan.
 // The suite name carries "Csr" so the CI sanitize job's TSan filter
@@ -21,7 +21,6 @@
 #include "api/engine.h"
 #include "core/usim.h"
 #include "dataset/dataset.h"
-#include "index/inverted_index.h"
 #include "join/join.h"
 #include "test_fixtures.h"
 
@@ -97,25 +96,28 @@ TEST_F(CsrParityFixtureTest, LegacyMapProbeProducesIdenticalCandidates) {
   for (const std::vector<uint32_t>* subset : {&all, &every_other}) {
     SCOPED_TRACE(subset == &all ? "all records" : "every other record");
     const std::vector<uint32_t>& ids = *subset;
-    // The shipped path: frozen CSR + count-based merge.
+    // The shipped path: counted CSR build + count-based merge.
     JoinContext::FilterOutput csr = context.RunFilter(
         sig_options, subset == &all ? nullptr : subset, nullptr,
         /*num_threads=*/2);
 
-    // The reference path, verbatim from the pre-CSR RunFilter: a
-    // mutable hash-map index keyed by record id, probed key by key,
-    // overlaps deduped and counted through a per-record unordered_map.
-    InvertedIndex legacy;
-    for (uint32_t j : ids) legacy.Add(j, sigs[j].keys);
+    // The reference path, the pre-CSR RunFilter's: a hash-map index
+    // from key to record ids (signature keys are distinct, so one
+    // posting per key and record), probed key by key, overlaps deduped
+    // and counted through a per-record unordered_map.
+    std::unordered_map<uint64_t, std::vector<uint32_t>> legacy;
+    for (uint32_t j : ids) {
+      for (uint64_t key : sigs[j].keys) legacy[key].push_back(j);
+    }
     PairVec legacy_candidates;
     uint64_t legacy_processed = 0;
     std::unordered_map<uint32_t, int> overlap;
     for (uint32_t s_id : ids) {
       overlap.clear();
       for (uint64_t key : sigs[s_id].keys) {
-        const std::vector<uint32_t>* postings = legacy.Find(key);
-        if (postings == nullptr) continue;
-        for (uint32_t t_id : *postings) {
+        auto postings = legacy.find(key);
+        if (postings == legacy.end()) continue;
+        for (uint32_t t_id : postings->second) {
           if (t_id <= s_id) continue;
           ++legacy_processed;
           ++overlap[t_id];

@@ -1,11 +1,18 @@
-// PreparedIndex: the shared immutable prepare-once layer. These tests
-// pin the sharing contract — one build feeds joins, searchers and the
-// Engine serving path — and the thread-safety of the lazy serving
-// index and the read-only query pebble generation.
+// The candidate index layer: CsrIndex::Build's posting rule (checked
+// against a reference map on seeded random key lists), the
+// count-merge scratch, and PreparedIndex, the shared immutable
+// prepare-once layer. The PreparedIndex tests pin the sharing
+// contract — one build feeds joins, searchers and the Engine serving
+// path — and the thread-safety of the lazy serving index and the
+// read-only query pebble generation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,62 +21,169 @@
 #include "datagen/synonym_gen.h"
 #include "datagen/taxonomy_gen.h"
 #include "index/csr_index.h"
-#include "index/inverted_index.h"
 #include "index/prepared_index.h"
 #include "join/join.h"
 #include "join/search.h"
 #include "test_fixtures.h"
+#include "util/rng.h"
 
 namespace aujoin {
 namespace {
 
-// --- staging InvertedIndex + frozen CsrIndex unit behaviour ---
+// --- CsrIndex::Build unit behaviour ---
 
-TEST(InvertedIndexTest, AddDedupesRepeatedKeysPerRecord) {
+/// Builds a CSR index whose record r carries `records[r]`'s keys.
+CsrIndex BuildFrom(const std::vector<std::vector<uint64_t>>& records) {
+  return CsrIndex::Build(records.size(),
+                         [&](size_t r, std::vector<uint64_t>* keys) {
+                           *keys = records[r];
+                         });
+}
+
+std::vector<uint32_t> RunOf(const CsrIndex& csr, uint64_t key) {
+  CsrIndex::Postings run = csr.Find(key);
+  return std::vector<uint32_t>(run.begin(), run.end());
+}
+
+TEST(CsrIndexTest, BuildDedupesRepeatedKeysPerRecord) {
   // Regression: one posting per distinct key per record, even when the
-  // caller's key list repeats keys (sorted or not). The old Add
-  // inserted one posting per occurrence, inflating postings and every
-  // downstream candidate count.
-  InvertedIndex index;
-  index.Add(7, {5, 5, 5, 9});          // sorted duplicates
-  index.Add(8, {9, 5, 9, 2, 5});       // unsorted duplicates
-  EXPECT_EQ(index.num_keys(), 3u);
-  EXPECT_EQ(index.total_postings(), 5u);  // {5,9}x7 + {2,5,9}x8
-  ASSERT_NE(index.Find(5), nullptr);
-  EXPECT_EQ(*index.Find(5), (std::vector<uint32_t>{7, 8}));
-  ASSERT_NE(index.Find(9), nullptr);
-  EXPECT_EQ(*index.Find(9), (std::vector<uint32_t>{7, 8}));
-  ASSERT_NE(index.Find(2), nullptr);
-  EXPECT_EQ(*index.Find(2), (std::vector<uint32_t>{8}));
-  EXPECT_EQ(index.Find(4), nullptr);
+  // caller's key list repeats keys (sorted or not). Indexing one
+  // posting per occurrence inflated postings and every downstream
+  // candidate count.
+  std::vector<std::vector<uint64_t>> records(9);
+  records[7] = {5, 5, 5, 9};     // sorted duplicates
+  records[8] = {9, 5, 9, 2, 5};  // unsorted duplicates
+  CsrIndex csr = BuildFrom(records);
+  EXPECT_EQ(csr.num_keys(), 3u);
+  EXPECT_EQ(csr.total_postings(), 5u);  // {5,9}x7 + {2,5,9}x8
+  EXPECT_EQ(RunOf(csr, 5), (std::vector<uint32_t>{7, 8}));
+  EXPECT_EQ(RunOf(csr, 9), (std::vector<uint32_t>{7, 8}));
+  EXPECT_EQ(RunOf(csr, 2), (std::vector<uint32_t>{8}));
+  EXPECT_TRUE(csr.Find(4).empty());
 }
 
-TEST(CsrIndexTest, FreezeMatchesStagingAndSortsPostings) {
-  InvertedIndex staging;
-  staging.Add(3, {10, 20});
-  staging.Add(1, {20});
-  staging.Add(2, {10, 30});
-  CsrIndex csr = CsrIndex::Freeze(staging);
-  EXPECT_EQ(csr.num_keys(), staging.num_keys());
-  EXPECT_EQ(csr.total_postings(), staging.total_postings());
+TEST(CsrIndexTest, BuildMatchesKeyListsAndSortsPostings) {
+  std::vector<std::vector<uint64_t>> records(4);
+  records[3] = {20, 10};
+  records[1] = {20};
+  records[2] = {30, 10};
+  CsrIndex csr = BuildFrom(records);
+  const std::map<uint64_t, std::vector<uint32_t>> expected = {
+      {10, {2, 3}}, {20, {1, 3}}, {30, {2}}};
+  EXPECT_EQ(csr.num_keys(), expected.size());
+  EXPECT_EQ(csr.total_postings(), 5u);
   EXPECT_EQ(csr.record_universe(), 4u);  // max posted id 3, +1
-  for (const auto& [key, ids] : staging.postings()) {
-    CsrIndex::Postings run = csr.Find(key);
-    std::vector<uint32_t> sorted = ids;
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_EQ(std::vector<uint32_t>(run.begin(), run.end()), sorted);
+  for (const auto& [key, ids] : expected) {
+    EXPECT_EQ(RunOf(csr, key), ids);
   }
+  // Keys are laid out ascending, whatever order the records list them.
+  EXPECT_EQ(std::vector<uint64_t>(csr.keys_data(),
+                                  csr.keys_data() + csr.num_keys()),
+            (std::vector<uint64_t>{10, 20, 30}));
   EXPECT_TRUE(csr.Find(999).empty());
-  EXPECT_GT(csr.memory_bytes(), 0u);
 }
 
-TEST(CsrIndexTest, FreezeOfEmptyStagingAnswersEverythingEmpty) {
-  CsrIndex csr = CsrIndex::Freeze(InvertedIndex{});
-  EXPECT_EQ(csr.num_keys(), 0u);
-  EXPECT_EQ(csr.total_postings(), 0u);
-  EXPECT_EQ(csr.record_universe(), 0u);
-  EXPECT_TRUE(csr.Find(0).empty());
-  EXPECT_TRUE(csr.Find(0xFFFFFFFFFFFFFFFFULL).empty());
+TEST(CsrIndexTest, BuildOverNoKeysAnswersEverythingEmpty) {
+  for (size_t num_records : {0, 3}) {
+    CsrIndex csr = BuildFrom(std::vector<std::vector<uint64_t>>(num_records));
+    EXPECT_EQ(csr.num_keys(), 0u);
+    EXPECT_EQ(csr.total_postings(), 0u);
+    EXPECT_EQ(csr.record_universe(), 0u);
+    EXPECT_TRUE(csr.Find(0).empty());
+    EXPECT_TRUE(csr.Find(0xFFFFFFFFFFFFFFFFULL).empty());
+  }
+}
+
+/// Checks every run of `csr` against the reference postings, and that
+/// every `absent` key comes back empty.
+void ExpectAnswersLike(const CsrIndex& csr,
+                       const std::map<uint64_t, std::set<uint32_t>>& reference,
+                       const std::vector<uint64_t>& absent) {
+  for (const auto& [key, ids] : reference) {
+    ASSERT_EQ(RunOf(csr, key), std::vector<uint32_t>(ids.begin(), ids.end()))
+        << "key " << key;
+  }
+  for (uint64_t key : absent) {
+    ASSERT_TRUE(csr.Find(key).empty()) << "absent key " << key;
+  }
+}
+
+TEST(CsrIndexTest, BuildMatchesAReferenceMapOnRandomKeyLists) {
+  // A seeded oracle: random records (unsorted key lists with repeats,
+  // empty records including trailing ones, the extreme keys 0 and
+  // UINT64_MAX) against a std::map of std::set postings. Odd seeds
+  // draw from a pool large enough that the build's interning table
+  // (1,024 slots at the start) has to grow several times. A failure
+  // names its seed; the loop replays it.
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    const bool large = seed % 2 == 1;
+    std::vector<uint64_t> pool = {0, 0xFFFFFFFFFFFFFFFFULL};
+    const int64_t pool_size = large ? 8000 : rng.Uniform(1, 60);
+    while (static_cast<int64_t>(pool.size()) < pool_size) {
+      // Full-width keys and pebble-shaped ones (a tag byte over a
+      // small id), so the table sees both spread and clustered keys.
+      const uint64_t tag = static_cast<uint64_t>(rng.Uniform(1, 4)) << 56;
+      const uint64_t id = static_cast<uint64_t>(rng.Uniform(0, 5000));
+      pool.push_back(rng.Bernoulli(0.5) ? rng.engine()() : tag | id);
+    }
+    const size_t num_records = static_cast<size_t>(
+        large ? rng.Uniform(500, 700) : rng.Uniform(1, 200));
+    const size_t trailing_empty = static_cast<size_t>(rng.Uniform(0, 5));
+    std::vector<std::vector<uint64_t>> records(num_records);
+    std::map<uint64_t, std::set<uint32_t>> reference;
+    size_t expected_universe = 0;
+    for (size_t r = 0; r + trailing_empty < num_records; ++r) {
+      if (rng.Bernoulli(0.15)) continue;  // an empty record
+      const int64_t len = rng.Uniform(1, large ? 60 : 12);
+      for (int64_t i = 0; i < len; ++i) {
+        uint64_t key = pool[static_cast<size_t>(
+            rng.Uniform(0, static_cast<int64_t>(pool.size()) - 1))];
+        // Repeat a key already in the list now and then.
+        if (!records[r].empty() && rng.Bernoulli(0.2)) {
+          key = records[r][static_cast<size_t>(rng.Uniform(
+              0, static_cast<int64_t>(records[r].size()) - 1))];
+        }
+        records[r].push_back(key);
+        reference[key].insert(static_cast<uint32_t>(r));
+      }
+      expected_universe = r + 1;
+    }
+    // Absent keys: pool keys no record drew, plus fresh ones.
+    std::vector<uint64_t> absent;
+    for (uint64_t key : pool) {
+      if (reference.count(key) == 0) absent.push_back(key);
+    }
+    for (int i = 0; i < 200; ++i) {
+      const uint64_t key = rng.engine()();
+      if (reference.count(key) == 0) absent.push_back(key);
+    }
+
+    CsrIndex csr = BuildFrom(records);
+    ASSERT_EQ(csr.num_keys(), reference.size());
+    if (large) ASSERT_GT(csr.num_keys(), 4096u);
+    uint64_t total = 0;
+    for (const auto& [key, ids] : reference) total += ids.size();
+    ASSERT_EQ(csr.total_postings(), total);
+    ASSERT_EQ(csr.record_universe(), expected_universe);
+    // The key section is the reference's keys, ascending.
+    std::vector<uint64_t> keys;
+    for (const auto& [key, ids] : reference) keys.push_back(key);
+    ASSERT_EQ(std::vector<uint64_t>(csr.keys_data(),
+                                    csr.keys_data() + csr.num_keys()),
+              keys);
+    ExpectAnswersLike(csr, reference, absent);
+
+    // The built arrays are valid snapshot sections, and a view over
+    // them answers the same.
+    Result<CsrIndex> view = CsrIndex::FromSections(
+        csr.keys_data(), csr.num_keys(), csr.offsets_data(),
+        csr.postings_data(), csr.total_postings(), csr.slots_data(),
+        csr.num_slots(), csr.record_universe(), nullptr);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    ExpectAnswersLike(*view, reference, absent);
+  }
 }
 
 TEST(CandidateAccumulatorTest, EpochStampingIsolatesProbes) {
@@ -213,15 +327,11 @@ TEST_F(PreparedIndexTest, UnseenQueryGramsGetStableNonCollidingKeys) {
 
 TEST(CsrIndexTest, DuplicateKeyPostingsDoNotWeakenTheTauFilter) {
   // Crafted duplicate-key fixture at the probe level: record 0 repeats
-  // key 5. Before the Add dedupe each occurrence became its own
-  // posting, so a tau=2 probe sharing only that single distinct key
-  // counted it twice and wrongly promoted the pair to a candidate.
-  InvertedIndex staging;
-  staging.Add(0, {5, 5, 5});
-  staging.Add(1, {5, 6});
-  EXPECT_EQ(staging.total_postings(), 3u);  // not 5: dedupe per record
-  CsrIndex csr = CsrIndex::Freeze(staging);
-  EXPECT_EQ(csr.total_postings(), 3u);
+  // key 5. Indexed one posting per occurrence, a tau=2 probe sharing
+  // only that single distinct key counted it twice and wrongly
+  // promoted the pair to a candidate.
+  CsrIndex csr = BuildFrom({{5, 5, 5}, {5, 6}});
+  EXPECT_EQ(csr.total_postings(), 3u);  // not 5: dedupe per record
   CandidateAccumulator overlap;
   overlap.Begin(2);
   for (uint64_t key : std::vector<uint64_t>{5, 7}) {  // probe signature

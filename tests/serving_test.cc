@@ -224,7 +224,7 @@ TEST_F(ServingFixtureTest, SearchBeforeSetRecordsFailsCleanly) {
 enum class ServingStore { kMonolithic, kSharded, kAppend };
 
 /// search_seconds is the whole call; index_seconds is the one-time
-/// prepare + freeze (or mount) that the call paid for, so it is
+/// prepare + CSR build (or mount) that the call paid for, so it is
 /// positive on a fresh engine's first call, never above search_seconds,
 /// and zero once everything is built.
 class ServingStatsTest : public ServingFixtureTest,
@@ -303,7 +303,7 @@ TEST_P(ServingStatsTest, FirstCallPaysTheIndexWorkLaterCallsPayNothing) {
     EXPECT_GT(first.index_seconds, 0.0) << name;
     EXPECT_LE(first.index_seconds, first.search_seconds) << name;
     if (GetParam() == ServingStore::kMonolithic) {
-      // All of the one index's work: its prepare and its CSR freeze.
+      // All of the one index's work: its prepare and its CSR build.
       Result<std::shared_ptr<const PreparedIndex>> index =
           engine.ServingIndex();
       ASSERT_TRUE(index.ok());

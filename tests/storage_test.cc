@@ -142,7 +142,7 @@ TEST_P(SnapshotRoundTripTest, LoadedCsrServesZeroCopyFromTheMapping) {
       path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE((*loaded)->ServingIndex().borrows_external_storage());
-  // The loaded index never paid a freeze in this process.
+  // The loaded index never paid a CSR build in this process.
   EXPECT_EQ((*loaded)->index_seconds(), 0.0);
 
   Result<std::shared_ptr<const PreparedIndex>> built =

@@ -156,6 +156,21 @@ tune flags:
   --sample=0.01          Bernoulli sampling probability per side
 )";
 
+/// Reads an integer count flag, exiting 1 with an error naming the flag
+/// when it is below `min`: cast to size_t, a negative count would wrap
+/// to a huge one.
+size_t CountFlag(const Flags& flags, const std::string& name,
+                 int64_t default_value, int64_t min = 0) {
+  const int64_t value = flags.GetInt(name, default_value);
+  if (value < min) {
+    std::fprintf(stderr, "error: --%s must be >= %lld (got %lld)\n",
+                 name.c_str(), static_cast<long long>(min),
+                 static_cast<long long>(value));
+    std::exit(1);
+  }
+  return static_cast<size_t>(value);
+}
+
 /// Builds the DatasetSpec shared by every subcommand from flags.
 /// Returns false (with a message on stderr) on unparsable flag values.
 bool SpecFromFlags(const Flags& flags, DatasetSpec* spec) {
@@ -187,8 +202,7 @@ bool SpecFromFlags(const Flags& flags, DatasetSpec* spec) {
   spec->reader.on_malformed = flags.GetBool("skip_malformed", false)
                                   ? MalformedRowPolicy::kSkip
                                   : MalformedRowPolicy::kFail;
-  spec->reader.max_records =
-      static_cast<size_t>(flags.GetInt("max_records", 0));
+  spec->reader.max_records = CountFlag(flags, "max_records", 0);
   spec->tokenizer.lowercase = !flags.GetBool("keep_case", false);
   spec->tokenizer.split_punctuation =
       flags.GetBool("split_punctuation", false);
@@ -208,17 +222,14 @@ Engine EngineFromFlags(const Flags& flags, const Dataset& dataset) {
   return EngineBuilder()
       .SetKnowledge(dataset.knowledge())
       .SetMeasures(flags.GetString("measures", "TJS"))
-      .SetQ(static_cast<int>(flags.GetInt("q", 3)))
+      .SetQ(static_cast<int>(CountFlag(flags, "q", 3, /*min=*/1)))
       .SetThreads(static_cast<int>(flags.GetInt("threads", 1)))
-      .SetMaxPartitionRecords(
-          static_cast<size_t>(flags.GetInt("partition", 0)))
-      .SetNumShards(static_cast<size_t>(flags.GetInt("shards", 0)))
+      .SetMaxPartitionRecords(CountFlag(flags, "partition", 0))
+      .SetNumShards(CountFlag(flags, "shards", 0))
       .SetShardBy(shard_by)
-      .SetSpillBudgetBytes(
-          static_cast<size_t>(flags.GetInt("spill_budget_bytes", 0)))
+      .SetSpillBudgetBytes(CountFlag(flags, "spill_budget_bytes", 0))
       .SetSpillDir(flags.GetString("spill_dir", ""))
-      .SetWalCheckpointBytes(
-          static_cast<size_t>(flags.GetInt("wal_checkpoint_bytes", 0)))
+      .SetWalCheckpointBytes(CountFlag(flags, "wal_checkpoint_bytes", 0))
       .Build();
 }
 
@@ -348,7 +359,7 @@ int RunSnapshot(const Flags& flags) {
 
   Engine engine = EngineFromFlags(flags, *dataset);
   engine.SetRecords(dataset->records);
-  const size_t shards = static_cast<size_t>(flags.GetInt("shards", 0));
+  const size_t shards = CountFlag(flags, "shards", 0);
   double prepare_seconds = 0.0;
   if (shards == 0) {
     // Force the monolithic index now so its build time is reported
@@ -529,8 +540,7 @@ int RunJoin(const Flags& flags) {
     run.algorithm = algorithm;
     run.theta = options.theta;
     run.tau = options.tau;
-    run.max_partition_records =
-        static_cast<size_t>(flags.GetInt("partition", 0));
+    run.max_partition_records = CountFlag(flags, "partition", 0);
     run.stats = stats;
     run.index_source = engine.index_source();
     run.snapshot_load_ms = engine.snapshot_load_seconds() * 1000.0;
@@ -634,7 +644,7 @@ int RunQuery(const Flags& flags) {
   EngineSearchOptions options;
   options.theta = flags.GetDouble("theta", 0.8);
   options.tau = static_cast<int>(flags.GetInt("tau", 1));
-  options.k = static_cast<size_t>(flags.GetInt("topk", 0));
+  options.k = CountFlag(flags, "topk", 0);
 
   OutputTarget target;
   if (!OpenOutput(flags, &target)) return 1;
@@ -696,7 +706,7 @@ int RunQuery(const Flags& flags) {
       if (probe) run.wal_bytes = static_cast<uint64_t>(probe.tellg());
     }
     // The build cost comes from the serving stats alone: index_seconds
-    // is the prepare + CSR freeze (or shard mount) this batch paid, and
+    // is the prepare + CSR build (or shard mount) this batch paid, and
     // it is already inside search_seconds, the whole BatchSearch call.
     run.stats.index_seconds = stats.index_seconds;
     run.stats.queries = stats.queries;

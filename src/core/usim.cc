@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/hungarian.h"
 #include "kernels/kernels.h"
@@ -36,6 +37,53 @@ std::vector<uint32_t> InducedPartition(
     if (!covered[p]) partition.push_back(singleton_at[p]);
   }
   return partition;
+}
+
+// Marks a partition size that no well-defined partition has.
+constexpr double kNoPartition = -std::numeric_limits<double>::infinity();
+
+// The largest sum of `gain` over well-defined partitions of the
+// `num_tokens` tokens into exactly k segments, for k = 0..num_tokens.
+// `segments` is the EnumerateSegments output, sorted by (begin, end), so
+// every segment ending at a position is folded in before any segment
+// starting there.
+std::vector<double> BestSumBySize(
+    const std::vector<WellDefinedSegment>& segments, size_t num_tokens,
+    const std::vector<double>& gain) {
+  const size_t width = num_tokens + 1;
+  // best[pos * width + k]: tokens [0, pos) covered by k segments.
+  std::vector<double> best(width * width, kNoPartition);
+  best[0] = 0.0;
+  for (size_t i = 0; i < segments.size(); ++i) {
+    const Segment& span = segments[i].span;
+    for (size_t k = 0; k <= span.begin; ++k) {
+      const double from = best[span.begin * width + k];
+      if (from == kNoPartition) continue;
+      double& to = best[span.end * width + k + 1];
+      to = std::max(to, from + gain[i]);
+    }
+  }
+  return std::vector<double>(best.end() - width, best.end());
+}
+
+// MP: the fewest segments a well-defined partition can have.
+size_t MinPartitionSize(const std::vector<double>& best_by_size) {
+  size_t k = 0;
+  while (best_by_size[k] == kNoPartition) ++k;
+  return k;
+}
+
+// max over k of best_by_size[k] / max(k, other_min_size).
+double BoundFromOneSide(const std::vector<double>& best_by_size,
+                        size_t other_min_size) {
+  double bound = 0.0;
+  for (size_t k = 1; k < best_by_size.size(); ++k) {
+    if (best_by_size[k] == kNoPartition) continue;
+    const size_t denominator = std::max(k, other_min_size);
+    bound = std::max(bound,
+                     best_by_size[k] / static_cast<double>(denominator));
+  }
+  return bound;
 }
 
 }  // namespace
@@ -78,13 +126,37 @@ double UsimComputer::GetSim(const Record& s, const Record& t,
   return SimOfPartitions(s, t, g.s_segments, g.t_segments, ps, pt);
 }
 
-double UsimComputer::Approx(const Record& s, const Record& t,
-                            double early_exit_threshold) {
+double UsimComputer::UpperBound(const Record& s, const Record& t) {
   if (s.tokens.empty() || t.tokens.empty()) return 0.0;
+  const Knowledge& knowledge = evaluator_.knowledge();
+  std::vector<WellDefinedSegment> s_segments = EnumerateSegments(s, knowledge);
+  std::vector<WellDefinedSegment> t_segments = EnumerateSegments(t, knowledge);
+  std::vector<double> a(s_segments.size(), 0.0);
+  std::vector<double> b(t_segments.size(), 0.0);
+  for (size_t i = 0; i < s_segments.size(); ++i) {
+    for (size_t j = 0; j < t_segments.size(); ++j) {
+      const double w = evaluator_.Msim(s, s_segments[i], t, t_segments[j]);
+      a[i] = std::max(a[i], w);
+      b[j] = std::max(b[j], w);
+    }
+  }
+  std::vector<double> f_s = BestSumBySize(s_segments, s.num_tokens(), a);
+  std::vector<double> f_t = BestSumBySize(t_segments, t.num_tokens(), b);
+  return std::min(BoundFromOneSide(f_s, MinPartitionSize(f_t)),
+                  BoundFromOneSide(f_t, MinPartitionSize(f_s)));
+}
+
+double UsimComputer::Approx(const Record& s, const Record& t,
+                            double threshold) {
+  if (s.tokens.empty() || t.tokens.empty()) return 0.0;
+  if (threshold <= 1.0) {
+    const double bound = UpperBound(s, t);
+    if (bound < threshold - kBoundSlack) return bound;
+  }
   PairGraph g = BuildPairGraph(s, t, &evaluator_, options_.graph);
   std::vector<uint32_t> a = SquareImp(g, options_.squareimp);
   double best = GetSim(s, t, g, a);
-  if (!options_.enable_improvement || best >= early_exit_threshold) {
+  if (!options_.enable_improvement || best >= threshold) {
     return best;
   }
 
@@ -169,7 +241,7 @@ double UsimComputer::Approx(const Record& s, const Record& t,
       best = best_candidate;
       std::fill(in_set.begin(), in_set.end(), 0);
       for (uint32_t v : best_set) in_set[v] = 1;
-      if (best >= early_exit_threshold) return best;
+      if (best >= threshold) return best;
     } else {
       break;
     }

@@ -47,12 +47,43 @@ class UsimComputer {
   explicit UsimComputer(const Knowledge& knowledge, UsimOptions options = {})
       : options_(options), evaluator_(knowledge, options.msim) {}
 
+  /// How far below theta UpperBound must fall before Approx rejects a
+  /// pair. The bound sums the a_p in partition order while the Hungarian
+  /// matching sums its matched weights in column order, so a bound equal
+  /// to Algorithm 1's value may read a few ulps below it.
+  static constexpr double kBoundSlack = 1e-9;
+
   /// Algorithm 1. Returns a lower bound on USIM(s, t) with the Theorem 2
-  /// guarantee. If `early_exit_threshold` is reached the computation stops
-  /// immediately (join verification only needs the >= theta predicate);
-  /// the default never triggers.
-  double Approx(const Record& s, const Record& t,
-                double early_exit_threshold = 2.0);
+  /// guarantee.
+  ///
+  /// With the default `threshold` (2.0, "no threshold") the call returns
+  /// the full Algorithm 1 value and computes no bound. With a threshold
+  /// theta <= 1 (join verification, which only needs the >= theta
+  /// predicate) it answers that predicate: the result is >= theta exactly
+  /// when Algorithm 1's value is. The call first computes UpperBound and,
+  /// when the bound is below theta - kBoundSlack, returns the bound
+  /// without building the pair graph; otherwise Algorithm 1 runs and
+  /// stops as soon as its value reaches theta.
+  double Approx(const Record& s, const Record& t, double threshold = 2.0);
+
+  /// An upper bound on every value Approx or Exact can return for (s, t),
+  /// computed without the pair graph.
+  ///
+  /// For each well-defined segment p of S let a_p be the largest
+  /// msim(p, q) over all well-defined segments q of T (all of them, not
+  /// only the pair-graph vertices: SimOfPartitions scores every segment
+  /// pair of the two partitions). A DP over S's well-defined partitions
+  /// gives f_S(k), the largest sum of a_p over partitions into exactly k
+  /// segments; MP(S) is the smallest such k. f_T, b_q and MP(T) are the
+  /// same from T's side. The bound is
+  ///   min( max_k f_S(k) / max(k, MP(T)),  max_k f_T(k) / max(k, MP(S)) ).
+  ///
+  /// Sound because every value Approx or Exact returns is
+  /// SimOfPartitions(PS, PT) for a pair of well-defined partitions: its
+  /// matching is at most the sum of a_p over PS <= f_S(|PS|), and its
+  /// denominator max(|PS|, |PT|) is at least max(|PS|, MP(T)); the same
+  /// holds from T's side.
+  double UpperBound(const Record& s, const Record& t);
 
   struct ExactResult {
     double value = 0.0;

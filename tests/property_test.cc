@@ -2,6 +2,10 @@
 // the signature layer and the join together on randomised inputs.
 
 #include <algorithm>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -197,6 +201,158 @@ TEST_P(WikiLosslessTest, JoinEqualsBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Thetas, WikiLosslessTest,
                          ::testing::Values(0.7, 0.8, 0.9));
+
+// UsimComputer::UpperBound soundness. On every pair: Approx <= bound;
+// where Exact is uncapped, Approx <= Exact <= bound; and the thresholded
+// Approx answers the same >= theta predicate as the full Algorithm 1.
+// A failure names the seed and the pair, so it replays on its own.
+struct BoundCoverage {
+  size_t pairs = 0;
+  size_t exact = 0;
+  size_t rejected = 0;  // (pair, theta) checks the bound answered alone
+  size_t verified = 0;  // (pair, theta) checks Algorithm 1 answered
+};
+
+void CheckUpperBound(UsimComputer* computer, const Record& s, const Record& t,
+                     const std::string& where, BoundCoverage* coverage) {
+  SCOPED_TRACE(where + " s=\"" + s.text + "\" t=\"" + t.text + "\"");
+  constexpr double kSlack = UsimComputer::kBoundSlack;
+  const double approx = computer->Approx(s, t);
+  const double bound = computer->UpperBound(s, t);
+  EXPECT_LE(approx, bound + kSlack);
+  UsimComputer::ExactResult exact = computer->Exact(
+      s, t, {.max_partitions_per_string = 16, .max_pairs = 128});
+  if (exact.exact) {
+    ++coverage->exact;
+    EXPECT_LE(approx, exact.value + 1e-9);
+    EXPECT_LE(exact.value, bound + kSlack);
+  }
+  for (double theta : {0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}) {
+    EXPECT_EQ(computer->Approx(s, t, theta) >= theta, approx >= theta)
+        << "theta=" << theta << " approx=" << approx << " bound=" << bound;
+    ++(bound < theta - kSlack ? coverage->rejected : coverage->verified);
+  }
+  ++coverage->pairs;
+}
+
+// Generated MED/WIKI worlds: each world's truth pairs plus as many random
+// pairs, under q = 3 Jaccard and q = 2 cosine and dice.
+class UpperBoundGeneratedTest
+    : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {};
+
+TEST_P(UpperBoundGeneratedTest, SoundOnTruthAndRandomPairs) {
+  const auto [profile_name, seed] = GetParam();
+  const bool wiki = std::string(profile_name) == "wiki";
+  Vocabulary vocab;
+  Taxonomy taxonomy = GenerateTaxonomy(
+      {.num_nodes = wiki ? 400u : 200u, .seed = seed}, &vocab);
+  RuleSet rules = GenerateSynonyms(
+      {.num_rules = wiki ? 150u : 250u, .seed = seed + 1}, taxonomy, &vocab);
+  Knowledge knowledge{&vocab, &rules, &taxonomy};
+  CorpusGenerator gen(&vocab, &taxonomy, &rules);
+  CorpusProfile profile =
+      wiki ? CorpusProfile::Wiki(30) : CorpusProfile::Med(30);
+  profile.seed += seed;
+  Corpus corpus = gen.Generate(profile, {.num_pairs = 10, .seed = seed + 2});
+
+  std::vector<std::pair<uint32_t, uint32_t>> pairs = corpus.truth_pairs;
+  Rng rng(seed);
+  const int64_t last = static_cast<int64_t>(corpus.records.size()) - 1;
+  for (size_t i = corpus.truth_pairs.size(); i > 0; --i) {
+    const auto a = static_cast<uint32_t>(rng.Uniform(0, last));
+    const auto b = static_cast<uint32_t>(rng.Uniform(0, last));
+    pairs.emplace_back(a, b);
+  }
+
+  struct Measure {
+    const char* name;
+    int q;
+    GramMeasure gram;
+  };
+  const Measure measures[] = {{"jaccard q=3", 3, GramMeasure::kJaccard},
+                              {"cosine q=2", 2, GramMeasure::kCosine},
+                              {"dice q=2", 2, GramMeasure::kDice}};
+  BoundCoverage coverage;
+  for (const Measure& measure : measures) {
+    UsimOptions options;
+    options.msim.q = measure.q;
+    options.msim.gram_measure = measure.gram;
+    UsimComputer computer(knowledge, options);
+    for (const auto& [a, b] : pairs) {
+      CheckUpperBound(&computer, corpus.records[a], corpus.records[b],
+                      std::string(profile_name) + " seed=" +
+                          std::to_string(seed) + " " + measure.name +
+                          " pair=(" + std::to_string(a) + "," +
+                          std::to_string(b) + ")",
+                      &coverage);
+    }
+  }
+  // Both Approx branches and the Exact comparison are exercised.
+  EXPECT_GT(coverage.rejected, 0u);
+  EXPECT_GT(coverage.verified, 0u);
+  EXPECT_GE(coverage.exact, coverage.pairs / 4);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Worlds, UpperBoundGeneratedTest,
+    ::testing::Combine(::testing::Values("med", "wiki"),
+                       ::testing::Values(uint64_t{1}, uint64_t{2})));
+
+// Overlapping-rule instances in the style of Table 9
+// (bench_table09_approx_accuracy): synonym rules between random,
+// mutually overlapping spans of two token strings, where segment choices
+// conflict and Algorithm 1 can fall short of the optimum.
+TEST(UpperBoundOverlappingRulesTest, SoundOnTable9StyleInstances) {
+  BoundCoverage coverage;
+  for (uint64_t seed = 900; seed < 1020; ++seed) {
+    Rng rng(seed);
+    const int k = 3 + static_cast<int>(seed % 4);
+    Vocabulary vocab;
+    RuleSet rules;
+    Taxonomy no_taxonomy;
+    auto make_tokens = [&](char prefix, int count, std::string* text) {
+      std::vector<TokenId> ids;
+      for (int i = 0; i < count; ++i) {
+        const std::string token = prefix + std::to_string(i);
+        ids.push_back(vocab.Intern(token));
+        *text += (i > 0 ? " " : "") + token;
+      }
+      return ids;
+    };
+    std::string s_text, t_text;
+    const std::vector<TokenId> s_ids =
+        make_tokens('s', k + static_cast<int>(rng.Uniform(2, 4)), &s_text);
+    const std::vector<TokenId> t_ids =
+        make_tokens('t', k + static_cast<int>(rng.Uniform(1, 3)), &t_text);
+    auto span_of = [&](const std::vector<TokenId>& ids) {
+      const int len = std::min<int>(static_cast<int>(rng.Uniform(1, k)),
+                                    static_cast<int>(ids.size()));
+      const int begin = static_cast<int>(
+          rng.Uniform(0, static_cast<int64_t>(ids.size()) - len));
+      return std::vector<TokenId>(ids.begin() + begin,
+                                  ids.begin() + begin + len);
+    };
+    for (int r = static_cast<int>(rng.Uniform(6, 14)); r > 0; --r) {
+      std::vector<TokenId> lhs = span_of(s_ids);
+      std::vector<TokenId> rhs = span_of(t_ids);
+      const double closeness = 0.1 + 0.9 * rng.UniformReal();
+      (void)rules.AddRule(std::move(lhs), std::move(rhs), closeness);
+    }
+    Record s = MakeRecord(0, s_text, &vocab);
+    Record t = MakeRecord(1, t_text, &vocab);
+
+    UsimOptions options;
+    options.msim.measures = kMeasureSynonym;
+    options.msim.exact_match = false;
+    options.squareimp.max_talons = 3;
+    UsimComputer computer(Knowledge{&vocab, &rules, &no_taxonomy}, options);
+    CheckUpperBound(&computer, s, t, "rules seed=" + std::to_string(seed),
+                    &coverage);
+  }
+  EXPECT_GT(coverage.rejected, 0u);
+  EXPECT_GT(coverage.verified, 0u);
+  EXPECT_GE(coverage.exact, coverage.pairs / 2);
+}
 
 }  // namespace
 }  // namespace aujoin

@@ -136,6 +136,23 @@ TEST(UsimTest, ExactMatchesApproxOnPaperExamples) {
   EXPECT_LE(computer.Approx(s, t), exact.value + 1e-9);
 }
 
+TEST(UsimTest, UpperBoundIsTightOnFigure1Pair) {
+  // S = "coffee shop" partitions as {coffee shop} (MP(S) = 1) or as two
+  // singletons; T = "cafe latte helsinki" only as its three singletons
+  // (MP(T) = 3). From S's side the best sum is a_{coffee shop} = 1 (the
+  // cafe rule) over one segment, but T forces the denominator up to 3:
+  // 1/3, which Exact reaches. Without the MP term S's side would read 1/1
+  // and T's side, (1 + 0.6 + 0) / 3 = 0.533, would be the bound.
+  Figure1World world;
+  Record s = world.MakeRec(0, "coffee shop");
+  Record t = world.MakeRec(1, "cafe latte helsinki");
+  UsimComputer computer(world.knowledge(), {});
+  EXPECT_DOUBLE_EQ(computer.UpperBound(s, t), 1.0 / 3.0);
+  auto exact = computer.Exact(s, t);
+  ASSERT_TRUE(exact.exact);
+  EXPECT_DOUBLE_EQ(exact.value, 1.0 / 3.0);
+}
+
 TEST(UsimTest, IdenticalStringsScoreOne) {
   Figure1World world;
   Record s = world.MakeRec(0, "espresso cafe helsinki");

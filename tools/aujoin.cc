@@ -34,6 +34,7 @@
 // suggested overlap constraint tau as JSON. `stats` ingests and prints
 // the dataset manifest. Full flag reference: docs/cli.md.
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -156,12 +157,20 @@ tune flags:
   --sample=0.01          Bernoulli sampling probability per side
 )";
 
-/// Reads an integer count flag, exiting 1 with an error naming the flag
-/// when it is below `min`: cast to size_t, a negative count would wrap
-/// to a huge one.
-size_t CountFlag(const Flags& flags, const std::string& name,
-                 int64_t default_value, int64_t min = 0) {
-  const int64_t value = flags.GetInt(name, default_value);
+/// Parses `text`, the value (or one list field) of --NAME, as a whole
+/// base-10 integer >= `min`, exiting 1 with an error naming the flag
+/// otherwise: "abc" and "1x" are not integers, and cast to size_t a
+/// negative count would wrap to a huge one.
+size_t ParseCount(const std::string& name, const std::string& text,
+                  int64_t min) {
+  int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) {
+    std::fprintf(stderr, "error: --%s must be an integer (got '%s')\n",
+                 name.c_str(), text.c_str());
+    std::exit(1);
+  }
   if (value < min) {
     std::fprintf(stderr, "error: --%s must be >= %lld (got %lld)\n",
                  name.c_str(), static_cast<long long>(min),
@@ -169,6 +178,14 @@ size_t CountFlag(const Flags& flags, const std::string& name,
     std::exit(1);
   }
   return static_cast<size_t>(value);
+}
+
+/// Reads count flag --NAME through ParseCount; `default_value` when the
+/// flag is absent.
+size_t CountFlag(const Flags& flags, const std::string& name,
+                 int64_t default_value, int64_t min = 0) {
+  if (!flags.Has(name)) return static_cast<size_t>(default_value);
+  return ParseCount(name, flags.GetString(name, ""), min);
 }
 
 /// Builds the DatasetSpec shared by every subcommand from flags.
@@ -195,7 +212,7 @@ bool SpecFromFlags(const Flags& flags, DatasetSpec* spec) {
   if (!indices.empty()) {
     for (const std::string& field : SplitString(indices, ',')) {
       spec->reader.column_indices.push_back(
-          static_cast<size_t>(std::atoll(field.c_str())));
+          ParseCount("column_indices", field, 0));
     }
   }
   spec->reader.has_header = flags.GetBool("header", false);
@@ -211,7 +228,10 @@ bool SpecFromFlags(const Flags& flags, DatasetSpec* spec) {
   return true;
 }
 
-Engine EngineFromFlags(const Flags& flags, const Dataset& dataset) {
+/// Reads the engine flags into a builder. Subcommands call it before
+/// LoadDataset, so that a bad flag fails before any input is ingested,
+/// and add the dataset's knowledge before Build.
+EngineBuilder BuilderFromFlags(const Flags& flags) {
   ShardBy shard_by = ShardBy::kRange;
   std::string shard_by_name = flags.GetString("shard_by", "range");
   if (!ParseShardBy(shard_by_name, &shard_by)) {
@@ -220,7 +240,6 @@ Engine EngineFromFlags(const Flags& flags, const Dataset& dataset) {
     std::exit(1);
   }
   return EngineBuilder()
-      .SetKnowledge(dataset.knowledge())
       .SetMeasures(flags.GetString("measures", "TJS"))
       .SetQ(static_cast<int>(CountFlag(flags, "q", 3, /*min=*/1)))
       .SetThreads(static_cast<int>(flags.GetInt("threads", 1)))
@@ -229,8 +248,7 @@ Engine EngineFromFlags(const Flags& flags, const Dataset& dataset) {
       .SetShardBy(shard_by)
       .SetSpillBudgetBytes(CountFlag(flags, "spill_budget_bytes", 0))
       .SetSpillDir(flags.GetString("spill_dir", ""))
-      .SetWalCheckpointBytes(CountFlag(flags, "wal_checkpoint_bytes", 0))
-      .Build();
+      .SetWalCheckpointBytes(CountFlag(flags, "wal_checkpoint_bytes", 0));
 }
 
 /// CSV-quotes a text field when it needs it.
@@ -350,6 +368,8 @@ int RunSnapshot(const Flags& flags) {
     std::fprintf(stderr, "error: --snapshot=FILE is required\n");
     return 1;
   }
+  EngineBuilder builder = BuilderFromFlags(flags);
+  const size_t shards = CountFlag(flags, "shards", 0);
   Result<Dataset> dataset = LoadDataset(spec);
   if (!dataset.ok()) {
     std::fprintf(stderr, "error: %s\n", dataset.status().ToString().c_str());
@@ -357,9 +377,8 @@ int RunSnapshot(const Flags& flags) {
   }
   std::fprintf(stderr, "ingested: %s\n", dataset->manifest.ToJson().c_str());
 
-  Engine engine = EngineFromFlags(flags, *dataset);
+  Engine engine = builder.SetKnowledge(dataset->knowledge()).Build();
   engine.SetRecords(dataset->records);
-  const size_t shards = CountFlag(flags, "shards", 0);
   double prepare_seconds = 0.0;
   if (shards == 0) {
     // Force the monolithic index now so its build time is reported
@@ -434,6 +453,7 @@ int RunStats(const Flags& flags) {
 int RunJoin(const Flags& flags) {
   DatasetSpec spec;
   if (!SpecFromFlags(flags, &spec)) return 1;
+  EngineBuilder builder = BuilderFromFlags(flags);
   Result<Dataset> dataset = LoadDataset(spec);
   if (!dataset.ok()) {
     std::fprintf(stderr, "error: %s\n", dataset.status().ToString().c_str());
@@ -441,7 +461,7 @@ int RunJoin(const Flags& flags) {
   }
   std::fprintf(stderr, "ingested: %s\n", dataset->manifest.ToJson().c_str());
 
-  Engine engine = EngineFromFlags(flags, *dataset);
+  Engine engine = builder.SetKnowledge(dataset->knowledge()).Build();
   engine.SetRecords(dataset->records,
                     dataset->records2.empty() ? nullptr : &dataset->records2);
   const std::vector<Record>& t_side =
@@ -568,6 +588,8 @@ int RunQuery(const Flags& flags) {
                  "join-only flag\n");
     return 1;
   }
+  EngineBuilder builder = BuilderFromFlags(flags);
+  const size_t topk = CountFlag(flags, "topk", 0);
   Result<Dataset> dataset = LoadDataset(spec);
   if (!dataset.ok()) {
     std::fprintf(stderr, "error: %s\n", dataset.status().ToString().c_str());
@@ -575,7 +597,7 @@ int RunQuery(const Flags& flags) {
   }
   std::fprintf(stderr, "ingested: %s\n", dataset->manifest.ToJson().c_str());
 
-  Engine engine = EngineFromFlags(flags, *dataset);
+  Engine engine = builder.SetKnowledge(dataset->knowledge()).Build();
   engine.SetRecords(dataset->records);
 
   const std::string wal_path = flags.GetString("wal", "");
@@ -644,7 +666,7 @@ int RunQuery(const Flags& flags) {
   EngineSearchOptions options;
   options.theta = flags.GetDouble("theta", 0.8);
   options.tau = static_cast<int>(flags.GetInt("tau", 1));
-  options.k = CountFlag(flags, "topk", 0);
+  options.k = topk;
 
   OutputTarget target;
   if (!OpenOutput(flags, &target)) return 1;
@@ -750,6 +772,7 @@ int RunAppend(const Flags& flags) {
     std::fprintf(stderr, "error: --checkpoint requires --snapshot=FILE\n");
     return 1;
   }
+  EngineBuilder builder = BuilderFromFlags(flags);
   Result<Dataset> dataset = LoadDataset(spec);
   if (!dataset.ok()) {
     std::fprintf(stderr, "error: %s\n", dataset.status().ToString().c_str());
@@ -757,7 +780,7 @@ int RunAppend(const Flags& flags) {
   }
   std::fprintf(stderr, "ingested: %s\n", dataset->manifest.ToJson().c_str());
 
-  Engine engine = EngineFromFlags(flags, *dataset);
+  Engine engine = builder.SetKnowledge(dataset->knowledge()).Build();
   engine.SetRecords(dataset->records);
 
   WallTimer recovery_timer;
@@ -886,12 +909,13 @@ int RunAppend(const Flags& flags) {
 int RunTune(const Flags& flags) {
   DatasetSpec spec;
   if (!SpecFromFlags(flags, &spec)) return 1;
+  EngineBuilder builder = BuilderFromFlags(flags);
   Result<Dataset> dataset = LoadDataset(spec);
   if (!dataset.ok()) {
     std::fprintf(stderr, "error: %s\n", dataset.status().ToString().c_str());
     return 1;
   }
-  Engine engine = EngineFromFlags(flags, *dataset);
+  Engine engine = builder.SetKnowledge(dataset->knowledge()).Build();
   engine.SetRecords(dataset->records);
 
   EngineJoinOptions options;

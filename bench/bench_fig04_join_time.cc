@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "api/engine.h"
 #include "bench_common.h"
 #include "tuner/recommend.h"
 #include "util/timer.h"
@@ -18,8 +19,10 @@ namespace {
 void RunDataset(const std::string& dataset, size_t n,
                 const std::vector<double>& thetas) {
   auto world = BuildWorld(dataset, n, n / 10);
-  JoinContext context(world->knowledge(), MsimOptions{.q = 3});
-  context.Prepare(world->corpus.records, nullptr);
+  Engine engine =
+      EngineBuilder().SetKnowledge(world->knowledge()).SetQ(3).Build();
+  engine.SetRecords(world->corpus.records);
+  const JoinContext& context = engine.PreparedContext();
 
   std::printf("\n[%s-like] strings=%zu\n", dataset.c_str(),
               world->corpus.records.size());
@@ -30,13 +33,9 @@ void RunDataset(const std::string& dataset, size_t n,
     for (FilterMethod method :
          {FilterMethod::kUFilter, FilterMethod::kAuHeuristic,
           FilterMethod::kAuDp}) {
-      JoinOptions options;
-      options.theta = theta;
-      options.method = method;
       WallTimer timer;
       if (method == FilterMethod::kUFilter) {
-        options.tau = 1;
-        UnifiedJoin(context, options);
+        UnifiedJoin(context, {.theta = theta, .tau = 1, .method = method});
       } else {
         TunerOptions tuner;
         tuner.theta = theta;
@@ -44,7 +43,7 @@ void RunDataset(const std::string& dataset, size_t n,
         tuner.sample_prob_s = 0.05;
         tuner.min_iterations = 5;
         tuner.max_iterations = 25;
-        JoinWithSuggestedTau(context, options, tuner);
+        engine.JoinWithSuggestedTau({.theta = theta, .method = method}, tuner);
       }
       double field_width = method == FilterMethod::kAuHeuristic ? 18 : 12;
       std::printf(" %*.3f", static_cast<int>(field_width), timer.Seconds());

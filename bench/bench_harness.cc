@@ -1,5 +1,5 @@
 // The machine-readable benchmark harness: runs an
-// (algorithm × theta × tau × threads × partitioning) grid over a
+// (algorithm × theta × tau × threads × shards) grid over a
 // generated corpus and writes BENCH_<name>.json for CI and trend
 // tracking. The CI smoke job runs this with --require_nonzero so a
 // regression that silently empties an algorithm's match set fails the
@@ -7,9 +7,9 @@
 //
 // Typical invocations:
 //   bench_harness --name=smoke --profile=med --strings=300 --pairs=60 \
-//     --theta=0.7 --tau=2 --threads=1,0 --partition=0,100 --require_nonzero
+//     --theta=0.7 --tau=2 --threads=1,0 --shards=0,4 --require_nonzero
 //   bench_harness --name=nightly --strings=5000 --pairs=500 \
-//     --theta=0.7,0.8,0.9 --tau=1,2,3 --threads=1,4,0 --partition=0,1000
+//     --theta=0.7,0.8,0.9 --tau=1,2,3 --threads=1,4,0 --shards=0,5
 
 #include <cstdio>
 #include <string>
@@ -35,17 +35,18 @@ std::vector<std::string> SplitCommaList(const std::string& value) {
 }
 
 void PrintRun(const BenchRun& run) {
+  const auto shards = static_cast<unsigned long long>(run.stats.shards);
   if (!run.ok) {
-    std::printf("%-12s th=%.2f tau=%d thr=%d part=%-6zu error: %s\n",
-                run.algorithm.c_str(), run.theta, run.tau, run.threads,
-                run.max_partition_records, run.error.c_str());
+    std::printf("%-12s th=%.2f tau=%d thr=%d shards=%-4llu error: %s\n",
+                run.algorithm.c_str(), run.theta, run.tau, run.threads, shards,
+                run.error.c_str());
     return;
   }
   std::printf(
-      "%-12s th=%.2f tau=%d thr=%d part=%-6zu %8.3fs wall=%-8.3f "
+      "%-12s th=%.2f tau=%d thr=%d shards=%-4llu %8.3fs wall=%-8.3f "
       "cand=%-8llu res=%-6llu",
-      run.algorithm.c_str(), run.theta, run.tau, run.threads,
-      run.max_partition_records, run.total_seconds, run.wall_seconds,
+      run.algorithm.c_str(), run.theta, run.tau, run.threads, shards,
+      run.total_seconds, run.wall_seconds,
       static_cast<unsigned long long>(run.stats.candidates),
       static_cast<unsigned long long>(run.stats.results));
   if (run.stats.partition_blocks > 0) {
@@ -81,9 +82,9 @@ int Run(int argc, char** argv) {
   for (int64_t threads : flags.GetIntList("threads", {1, 0})) {
     grid.threads.push_back(static_cast<int>(threads));
   }
-  grid.partition_limits.clear();
-  for (int64_t limit : flags.GetIntList("partition", {0})) {
-    grid.partition_limits.push_back(static_cast<size_t>(limit));
+  grid.shard_counts.clear();
+  for (int64_t shards : flags.GetIntList("shards", {0})) {
+    grid.shard_counts.push_back(static_cast<size_t>(shards));
   }
 
   PrintBanner("benchmark harness grid", "machine-readable",
@@ -118,9 +119,9 @@ int Run(int argc, char** argv) {
 
   if (require_nonzero) {
     // The smoke gate: the generated corpus plants truth pairs, so every
-    // (algorithm × partitioning × threads) configuration the parity
-    // tests cover must find something — a per-configuration check, so a
-    // regression that empties only the partitioned or only the threaded
+    // (algorithm × shards × threads) configuration the parity tests
+    // cover must find something — a per-configuration check, so a
+    // regression that empties only the sharded or only the threaded
     // cells still fails the job.
     std::vector<std::string> zero = report.ZeroResultConfigurations();
     for (const std::string& label : zero) {

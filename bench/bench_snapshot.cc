@@ -20,7 +20,7 @@
 //
 // Typical invocation:
 //   bench_snapshot --name=snapshot --profile=med --strings=300 \
-//     --theta=0.7 --repeat=5 --min_speedup=5
+//     --theta=0.7 --repeat=25 --min_speedup=5
 
 #include <cstdio>
 #include <memory>

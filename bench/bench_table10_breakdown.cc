@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "api/engine.h"
 #include "bench_common.h"
 #include "tuner/recommend.h"
 
@@ -24,11 +25,9 @@ int main(int argc, char** argv) {
               "filter_s", "verify_s", "tau*");
   for (int64_t size : sizes) {
     auto world = BuildWorld("med", static_cast<size_t>(size), size / 10);
-    JoinContext context(world->knowledge(), MsimOptions{.q = 3});
-    context.Prepare(world->corpus.records, nullptr);
-    JoinOptions options;
-    options.theta = theta;
-    options.method = FilterMethod::kAuDp;
+    Engine engine =
+        EngineBuilder().SetKnowledge(world->knowledge()).SetQ(3).Build();
+    engine.SetRecords(world->corpus.records);
     TunerOptions tuner;
     tuner.theta = theta;
     tuner.method = FilterMethod::kAuDp;
@@ -36,11 +35,16 @@ int main(int argc, char** argv) {
     tuner.min_iterations = 5;
     tuner.max_iterations = 25;
     TauRecommendation rec;
-    JoinResult result = JoinWithSuggestedTau(context, options, tuner, &rec);
+    Result<JoinResult> result = engine.JoinWithSuggestedTau(
+        {.theta = theta, .method = FilterMethod::kAuDp}, tuner, &rec);
+    if (!result.ok()) {
+      std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+      return 1;
+    }
     std::printf("%-8lld | %12.3f %12.3f %12.3f | %6d\n",
-                static_cast<long long>(size), result.stats.suggest_seconds,
-                result.stats.signature_seconds + result.stats.filter_seconds,
-                result.stats.verify_seconds, rec.best_tau);
+                static_cast<long long>(size), result->stats.suggest_seconds,
+                result->stats.signature_seconds + result->stats.filter_seconds,
+                result->stats.verify_seconds, rec.best_tau);
   }
   return 0;
 }

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <numeric>
 
+#include "api/engine.h"
 #include "bench_common.h"
 #include "tuner/recommend.h"
 #include "util/timer.h"
@@ -23,8 +24,10 @@ int main(int argc, char** argv) {
               "suggested tau achieves the best time; worst tau is several "
               "times slower");
   auto world = BuildWorld("med", n, n / 10);
-  JoinContext context(world->knowledge(), MsimOptions{.q = 3});
-  context.Prepare(world->corpus.records, nullptr);
+  Engine engine =
+      EngineBuilder().SetKnowledge(world->knowledge()).SetQ(3).Build();
+  engine.SetRecords(world->corpus.records);
+  const JoinContext& context = engine.PreparedContext();
 
   std::printf("%-6s | %12s %12s %12s | %9s %9s\n", "theta", "suggested_s",
               "random_mean", "worst_s", "tau*", "tau_worst");
@@ -55,12 +58,10 @@ int main(int argc, char** argv) {
     tuner.sample_prob_s = 0.05;
     tuner.min_iterations = 5;
     tuner.max_iterations = 25;
-    JoinOptions options;
-    options.theta = theta;
-    options.method = FilterMethod::kAuHeuristic;
     TauRecommendation rec;
     WallTimer timer;
-    JoinWithSuggestedTau(context, options, tuner, &rec);
+    engine.JoinWithSuggestedTau(
+        {.theta = theta, .method = FilterMethod::kAuHeuristic}, tuner, &rec);
     double suggested_time = timer.Seconds();
 
     std::printf("%-6.2f | %12.3f %12.3f %12.3f | %9d %9lld\n", theta,

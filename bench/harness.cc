@@ -60,8 +60,6 @@ std::string BenchReport::ToJson() const {
     AppendJsonDouble(run.tau, &out);
     out += ", \"threads\": ";
     AppendJsonDouble(run.threads, &out);
-    out += ", \"max_partition_records\": ";
-    AppendJsonUint(run.max_partition_records, &out);
     out += ", \"num_records\": ";
     AppendJsonUint(run.num_records, &out);
     out += ",\n     \"ok\": ";
@@ -88,8 +86,6 @@ std::string BenchReport::ToJson() const {
     AppendJsonUint(run.stats.candidates, &out);
     out += ", \"results\": ";
     AppendJsonUint(run.stats.results, &out);
-    out += ", \"partitions\": ";
-    AppendJsonUint(run.stats.partitions, &out);
     out += ", \"partition_blocks\": ";
     AppendJsonUint(run.stats.partition_blocks, &out);
     out += ",\n     \"shards\": ";
@@ -222,8 +218,9 @@ std::vector<std::string> BenchReport::ZeroResultConfigurations() const {
   std::map<std::string, uint64_t> totals;
   for (const BenchRun& run : runs) {
     char label[160];
-    std::snprintf(label, sizeof(label), "%s partition=%zu threads=%d",
-                  run.algorithm.c_str(), run.max_partition_records,
+    std::snprintf(label, sizeof(label), "%s shards=%llu threads=%d",
+                  run.algorithm.c_str(),
+                  static_cast<unsigned long long>(run.stats.shards),
                   run.threads);
     // Failed runs seed the group with zero (not skip it), so a
     // configuration that errors on every cell still trips the gate.
@@ -246,21 +243,21 @@ std::vector<BenchRun> BenchHarness::RunGrid(
   std::vector<int> taus = grid.taus.empty() ? std::vector<int>{1} : grid.taus;
   std::vector<BenchRun> runs;
   for (int num_threads : grid.threads) {
-    for (size_t partition_limit : grid.partition_limits) {
+    for (size_t num_shards : grid.shard_counts) {
       Engine engine = EngineBuilder()
                           .SetKnowledge(knowledge_)
                           .SetMeasures(grid.measures)
                           .SetQ(grid.q)
                           .SetThreads(num_threads)
-                          .SetMaxPartitionRecords(partition_limit)
+                          .SetNumShards(num_shards)
                           .Build();
       engine.SetRecords(*records_);
-      if (partition_limit == 0) {
+      if (num_shards == 0) {
         // Build the lazily-prepared context up front so the first
         // unified cell's wall_seconds measures the join, not the
         // one-time preparation (which stats.prepare_seconds reports
-        // separately). Partitioned engines never use this context —
-        // blocks prepare their own, charged to every run alike.
+        // separately). Sharded engines never use this context — blocks
+        // prepare their own, charged to every run alike.
         engine.PreparedContext();
       }
       for (const std::string& algorithm : algorithms) {
@@ -275,8 +272,10 @@ std::vector<BenchRun> BenchHarness::RunGrid(
             run.theta = theta;
             run.tau = taus[t];
             run.threads = num_threads;
-            run.max_partition_records = partition_limit;
             run.num_records = records_->size();
+            // The configured count labels a failed cell; a successful
+            // one reports the plan the join ran.
+            run.stats.shards = num_shards;
 
             EngineJoinOptions options;
             options.theta = theta;

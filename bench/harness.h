@@ -27,8 +27,8 @@ struct BenchGrid {
   std::vector<int> taus = {2};
   /// EngineOptions::num_threads values (0 = all hardware threads).
   std::vector<int> threads = {1};
-  /// EngineOptions::max_partition_records values (0 = monolithic).
-  std::vector<size_t> partition_limits = {0};
+  /// EngineOptions::num_shards values (0 = monolithic).
+  std::vector<size_t> shard_counts = {0};
   /// Measure-combination string and gram length for every engine.
   std::string measures = "TJS";
   int q = 3;
@@ -45,14 +45,13 @@ struct BenchRun {
   double theta = 0.0;
   int tau = 0;
   int threads = 0;
-  size_t max_partition_records = 0;
   size_t num_records = 0;
 
   bool ok = false;
   std::string error;
   JoinStats stats;
   /// TotalSeconds(include_prepare = true): comparable across algorithms
-  /// that do their own indexing. On partitioned runs the per-stage times
+  /// that do their own indexing. On sharded runs the per-stage times
   /// are summed across blocks, so this is aggregate work, not elapsed
   /// time — use wall_seconds to judge thread scaling.
   double total_seconds = 0.0;
@@ -153,16 +152,16 @@ struct BenchReport {
   /// expect to find matches.
   uint64_t TotalResults(const std::string& algorithm) const;
 
-  /// Per-configuration smoke gate: labels of every (algorithm ×
-  /// partitioning × threads) group whose successful runs all returned
-  /// zero matches. Grouping per configuration (not a grand total per
-  /// algorithm) means a regression that empties only the partitioned or
-  /// only the threaded cells still trips the gate.
+  /// Per-configuration smoke gate: labels of every (algorithm × shards
+  /// × threads) group whose successful runs all returned zero matches.
+  /// Grouping per configuration (not a grand total per algorithm) means
+  /// a regression that empties only the sharded or only the threaded
+  /// cells still trips the gate.
   std::vector<std::string> ZeroResultConfigurations() const;
 };
 
 /// Runs benchmark grids over one bound corpus through the Engine facade.
-/// Engines are rebuilt per (threads × partition limit) combination and
+/// Engines are rebuilt per (threads × shard count) combination and
 /// reused across algorithms and thetas, so prepared-context reuse matches
 /// how a sweeping caller would drive the engine.
 class BenchHarness {

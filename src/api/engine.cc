@@ -353,9 +353,8 @@ Result<JoinStats> Engine::Join(const std::string& algorithm,
   }
   AlgorithmContext ctx = MakeAlgorithmContext();
   JoinStats stats;
-  if (options_.num_shards > 0 || options_.max_partition_records > 0) {
+  if (options_.num_shards > 0) {
     PipelineOptions pipeline_options;
-    pipeline_options.max_partition_records = options_.max_partition_records;
     pipeline_options.num_threads = options_.num_threads;
     pipeline_options.num_shards = options_.num_shards;
     pipeline_options.shard_by = options_.shard_by;

@@ -47,31 +47,25 @@ struct EngineOptions {
   size_t cache_evict_threshold = 500000;
   /// Candidate pairs verified per streaming flush to a MatchSink.
   size_t stream_batch_size = 4096;
-  /// When > 0, every Join runs through the partitioned pipeline: the
-  /// bound collection(s) are sharded into partitions of at most this many
-  /// records (a range plan, ShardPlan::Bounded) and partition-pair
-  /// blocks execute in parallel on a shared thread pool, bounding
-  /// prepared-context memory by the blocks in flight instead of the
-  /// whole collection (see join/pipeline.h). 0 runs the monolithic path.
-  /// Either way the match set and its emission order are identical.
-  size_t max_partition_records = 0;
-  /// First-class shards: when > 0, the bound collection(s) are split
-  /// into exactly this many shards (by `shard_by`), joins enumerate
-  /// shard-pair blocks through the same pipeline the partition mode
-  /// uses, serving answers every query over the shards as slices of
-  /// the collection (SearchSlices in join/search.h), and
-  /// SaveIndex/LoadIndex persist one snapshot file per shard behind a
-  /// manifest. Results are byte-identical to the monolithic path.
-  /// Takes precedence over max_partition_records; ignored in append
-  /// mode (the generational index serves appends).
+  /// Shards: when > 0, the bound collection(s) are split into exactly
+  /// this many shards (by `shard_by`); every Join runs through the
+  /// blocked pipeline (join/pipeline.h), whose shard-pair blocks execute
+  /// in parallel on a shared thread pool, bounding prepared-context
+  /// memory by the blocks in flight instead of the whole collection;
+  /// serving answers every query over the shards as slices of the
+  /// collection (SearchSlices in join/search.h), and SaveIndex/LoadIndex
+  /// persist one snapshot file per shard behind a manifest. 0 runs the
+  /// monolithic path. Either way the match set and its emission order
+  /// are identical. Ignored in append mode (the generational index
+  /// serves appends).
   size_t num_shards = 0;
   /// Shard placement scheme (record range or key hash); see
   /// shard/shard_plan.h.
   ShardBy shard_by = ShardBy::kRange;
-  /// Out-of-core joins: when > 0, a sharded/partitioned join whose
-  /// buffered result set exceeds this many bytes spills sorted runs to
-  /// temp files in `spill_dir` and merges them back at emission
-  /// (identical results, bounded memory). 0 = always in-memory.
+  /// Out-of-core joins: when > 0, a sharded join whose buffered result
+  /// set exceeds this many bytes spills sorted runs to temp files in
+  /// `spill_dir` and merges them back at emission (identical results,
+  /// bounded memory). 0 = always in-memory.
   size_t spill_budget_bytes = 0;
   /// Directory for spill temp files ("" = current directory). Files
   /// are unlinked as soon as they are mapped, so none outlive the join.
@@ -449,11 +443,6 @@ class EngineBuilder {
   }
   EngineBuilder& SetStreamBatchSize(size_t pairs) {
     options_.stream_batch_size = pairs;
-    return *this;
-  }
-  /// 0 = monolithic; > 0 = partitioned pipeline with this record bound.
-  EngineBuilder& SetMaxPartitionRecords(size_t records) {
-    options_.max_partition_records = records;
     return *this;
   }
   /// 0 = monolithic; > 0 = first-class shards (joins run shard-pair

@@ -1,6 +1,8 @@
 #include "join/join.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 
 #include "index/csr_index.h"
 #include "util/parallel.h"
@@ -162,53 +164,9 @@ JoinContext::FilterOutput JoinContext::RunFilter(
   return out;
 }
 
-void VerifyCandidates(
-    const JoinContext& context, const JoinOptions& options,
-    const std::vector<std::pair<uint32_t, uint32_t>>& candidates,
-    JoinResult* result) {
-  WallTimer timer;
-  UsimOptions usim_options = options.usim;
-  usim_options.msim = context.msim_options();
-  const auto& s_records = context.s_records();
-  const auto& t_records = context.t_records();
-
-  const int workers = ResolveThreads(options.num_threads);
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> worker_pairs(
-      workers);
-  ParallelFor(
-      candidates.size(), options.num_threads,
-      [&](size_t begin, size_t end, int worker) {
-        // One computer (and gram cache) per worker; MsimEvaluator is not
-        // thread-safe.
-        UsimComputer computer(context.knowledge(), usim_options);
-        for (size_t c = begin; c < end; ++c) {
-          const auto& [si, ti] = candidates[c];
-          if (computer.evaluator()->CacheSize() >
-              options.cache_evict_threshold) {
-            computer.evaluator()->ClearCache();
-          }
-          // Verification only needs the predicate, so Algorithm 1 may
-          // stop as soon as theta is reached.
-          double sim = computer.Approx(s_records[si], t_records[ti],
-                                       options.theta);
-          if (sim >= options.theta) {
-            worker_pairs[worker].emplace_back(si, ti);
-          }
-        }
-      });
-  for (int w = 0; w < workers; ++w) {
-    result->pairs.insert(result->pairs.end(), worker_pairs[w].begin(),
-                         worker_pairs[w].end());
-  }
-  // Deterministic output regardless of the worker split.
-  std::sort(result->pairs.begin(), result->pairs.end());
-  result->stats.verify_seconds += timer.Seconds();
-  result->stats.results = result->pairs.size();
-}
-
-JoinResult UnifiedJoin(const JoinContext& context,
-                       const JoinOptions& options) {
-  JoinResult result;
+JoinStats UnifiedJoin(const JoinContext& context, const JoinOptions& options,
+                      size_t batch_size,
+                      const std::function<bool(uint32_t, uint32_t)>& emit) {
   SignatureOptions sig_options;
   sig_options.theta = options.theta;
   sig_options.tau = options.tau;
@@ -217,14 +175,84 @@ JoinResult UnifiedJoin(const JoinContext& context,
 
   JoinContext::FilterOutput filtered =
       context.RunFilter(sig_options, nullptr, nullptr, options.num_threads);
-  result.stats.prepare_seconds = context.prepare_seconds();
-  result.stats.signature_seconds = filtered.signature_seconds;
-  result.stats.filter_seconds = filtered.filter_seconds;
-  result.stats.processed_pairs = filtered.processed_pairs;
-  result.stats.candidates = filtered.candidates.size();
-  result.stats.avg_signature_pebbles = filtered.avg_signature_pebbles;
+  JoinStats stats;
+  stats.prepare_seconds = context.prepare_seconds();
+  stats.signature_seconds = filtered.signature_seconds;
+  stats.filter_seconds = filtered.filter_seconds;
+  stats.processed_pairs = filtered.processed_pairs;
+  stats.candidates = filtered.candidates.size();
+  stats.avg_signature_pebbles = filtered.avg_signature_pebbles;
 
-  VerifyCandidates(context, options, filtered.candidates, &result);
+  // Verify in sorted batches: each batch's survivors are emitted before
+  // the next batch starts, so the emission order is globally sorted.
+  // Per-worker computers (and their gram caches) persist across
+  // batches, so streaming costs no cache warmth; MsimEvaluator is not
+  // thread-safe, hence one computer per worker.
+  std::sort(filtered.candidates.begin(), filtered.candidates.end());
+  const std::vector<std::pair<uint32_t, uint32_t>>& candidates =
+      filtered.candidates;
+
+  UsimOptions usim_options = options.usim;
+  usim_options.msim = context.msim_options();
+  const auto& s_records = context.s_records();
+  const auto& t_records = context.t_records();
+  const int workers = ResolveThreads(options.num_threads);
+  std::vector<std::unique_ptr<UsimComputer>> computers(workers);
+  for (auto& computer : computers) {
+    computer = std::make_unique<UsimComputer>(context.knowledge(),
+                                              usim_options);
+  }
+
+  batch_size = std::max<size_t>(1, batch_size);
+  for (size_t begin = 0; begin < candidates.size();) {
+    const size_t end = begin + std::min(batch_size, candidates.size() - begin);
+    WallTimer batch_timer;
+    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> worker_pairs(
+        workers);
+    ParallelFor(
+        end - begin, options.num_threads,
+        [&](size_t lo, size_t hi, int worker) {
+          UsimComputer& computer = *computers[worker];
+          for (size_t c = lo; c < hi; ++c) {
+            const auto& [si, ti] = candidates[begin + c];
+            if (computer.evaluator()->CacheSize() >
+                options.cache_evict_threshold) {
+              computer.evaluator()->ClearCache();
+            }
+            // Verification only needs the predicate, so Algorithm 1 may
+            // stop as soon as theta is reached.
+            double sim = computer.Approx(s_records[si], t_records[ti],
+                                         options.theta);
+            if (sim >= options.theta) {
+              worker_pairs[worker].emplace_back(si, ti);
+            }
+          }
+        });
+    std::vector<std::pair<uint32_t, uint32_t>> verified;
+    for (const auto& wp : worker_pairs) {
+      verified.insert(verified.end(), wp.begin(), wp.end());
+    }
+    std::sort(verified.begin(), verified.end());
+    stats.verify_seconds += batch_timer.Seconds();
+    for (const auto& [first, second] : verified) {
+      ++stats.results;
+      if (!emit(first, second)) return stats;
+    }
+    begin = end;
+  }
+  return stats;
+}
+
+JoinResult UnifiedJoin(const JoinContext& context,
+                       const JoinOptions& options) {
+  JoinResult result;
+  auto collect = [&result](uint32_t first, uint32_t second) {
+    result.pairs.emplace_back(first, second);
+    return true;
+  };
+  // One batch: the caller holds every pair anyway, so there is no
+  // memory to bound between emissions.
+  result.stats = UnifiedJoin(context, options, SIZE_MAX, collect);
   return result;
 }
 

@@ -2,6 +2,7 @@
 #define AUJOIN_JOIN_JOIN_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -43,14 +44,11 @@ struct JoinStats {
   uint64_t candidates = 0;
   uint64_t results = 0;
   double avg_signature_pebbles = 0.0;
-  /// Partitioned-pipeline shape: how many partitions the bound
-  /// collection(s) were sharded into and how many partition-pair (or
-  /// shard-pair) blocks ran. Zero on the monolithic path.
-  uint64_t partitions = 0;
+  /// Blocked-pipeline shape (EngineOptions::num_shards > 0): how many
+  /// shard-pair blocks ran. Zero on the monolithic path.
   uint64_t partition_blocks = 0;
-  /// First-class shard mode (EngineOptions::num_shards): the shard
-  /// count of the plan the blocks enumerated. Zero when the join ran
-  /// monolithically or under the size-bounded partition mode.
+  /// The shard count of the plan the blocks enumerated. Zero when the
+  /// join ran monolithically.
   uint64_t shards = 0;
   /// Spill-to-disk counters (out-of-core joins): sorted runs written
   /// to temp files, pairs and bytes they carried. Zero when the join
@@ -157,15 +155,19 @@ class JoinContext {
   std::shared_ptr<const PreparedIndex> index_;
 };
 
-/// Runs the full filter-and-verification join over a prepared context.
-JoinResult UnifiedJoin(const JoinContext& context, const JoinOptions& options);
+/// Runs the full filter-and-verification join over a prepared context:
+/// the filter stage (RunFilter), then Algorithm 1 on the candidates in
+/// ascending (first, second) order, `batch_size` candidates at a time.
+/// Each batch's matches go to `emit` in ascending order before the next
+/// batch is verified, so memory held between emissions is bounded by
+/// the batch; a false return from `emit` stops the join. Returns the
+/// stats, whose `results` counts the pairs emitted.
+JoinStats UnifiedJoin(const JoinContext& context, const JoinOptions& options,
+                      size_t batch_size,
+                      const std::function<bool(uint32_t, uint32_t)>& emit);
 
-/// Verifies candidate pairs with Algorithm 1 and appends survivors to
-/// `result`. Exposed so benches can time verification separately.
-void VerifyCandidates(
-    const JoinContext& context, const JoinOptions& options,
-    const std::vector<std::pair<uint32_t, uint32_t>>& candidates,
-    JoinResult* result);
+/// Collecting form of the join above: every matching pair, ascending.
+JoinResult UnifiedJoin(const JoinContext& context, const JoinOptions& options);
 
 }  // namespace aujoin
 

@@ -172,33 +172,23 @@ Status RunPartitionedJoin(const AlgorithmFactory& factory,
   if (sink == nullptr || stats == nullptr) {
     return Status::InvalidArgument("pipeline requires a sink and stats");
   }
-  const bool shard_mode = pipeline_options.num_shards > 0;
-  if (!shard_mode && pipeline_options.max_partition_records == 0) {
-    return Status::InvalidArgument(
-        "the pipeline needs num_shards or max_partition_records > 0");
+  if (pipeline_options.num_shards == 0) {
+    return Status::InvalidArgument("the pipeline needs num_shards > 0");
   }
 
   const bool self = context.self_join();
-  auto make_plan = [&](size_t num_records) {
-    if (shard_mode) {
-      return ShardPlan::Make(num_records, pipeline_options.num_shards,
-                             pipeline_options.shard_by);
-    }
-    return ShardPlan::Bounded(num_records,
-                              pipeline_options.max_partition_records);
-  };
-  const ShardPlan s_plan = make_plan(context.s_records->size());
+  const ShardPlan s_plan =
+      ShardPlan::Make(context.s_records->size(), pipeline_options.num_shards,
+                      pipeline_options.shard_by);
   const ShardPlan t_plan =
-      self ? s_plan : make_plan(context.t_records->size());
+      self ? s_plan
+           : ShardPlan::Make(context.t_records->size(),
+                             pipeline_options.num_shards,
+                             pipeline_options.shard_by);
   std::vector<PartitionBlock> blocks =
       EnumerateBlocks(s_plan.num_shards(), t_plan.num_shards(), self);
 
-  if (shard_mode) {
-    stats->shards = s_plan.num_shards();
-  } else {
-    stats->partitions =
-        s_plan.num_shards() + (self ? 0 : t_plan.num_shards());
-  }
+  stats->shards = s_plan.num_shards();
   stats->partition_blocks = blocks.size();
 
   const bool spilling = pipeline_options.spill_budget_bytes > 0;
@@ -215,11 +205,9 @@ Status RunPartitionedJoin(const AlgorithmFactory& factory,
       return Status::Internal("algorithm factory returned null");
     }
     uint64_t shards = stats->shards;
-    uint64_t partitions = stats->partitions;
     uint64_t partition_blocks = stats->partition_blocks;
     Status status = algo->Run(context, options, sink, stats);
     stats->shards = shards;
-    stats->partitions = partitions;
     stats->partition_blocks = partition_blocks;
     return status;
   }

@@ -15,33 +15,26 @@ namespace aujoin {
 class Env;
 
 /// Creates one algorithm instance; the pipeline calls it once per
-/// partition block so stateful algorithms never run concurrently with
+/// block so stateful algorithms never run concurrently with
 /// themselves. The Engine passes a registry lookup here, which keeps this
 /// layer free of a registry dependency.
 using AlgorithmFactory = std::function<std::unique_ptr<JoinAlgorithm>()>;
 
-/// Execution policy of the blocked join pipeline. Two ways in: the
-/// size-bounded partition mode (max_partition_records) and the
-/// first-class shard mode (num_shards); both lower onto one ShardPlan
-/// and share the block enumeration, execution and merge machinery.
+/// Execution policy of the blocked join pipeline.
 struct PipelineOptions {
-  /// Upper bound on records per partition; both sides of an R-S join are
-  /// sharded with the same bound. Ignored when num_shards > 0; at least
-  /// one of the two must be set (0/0 selects the monolithic path at the
-  /// Engine level and never reaches the pipeline).
-  size_t max_partition_records = 0;
   /// Worker count of the shared pool that runs blocks (ResolveThreads
   /// semantics: 0 = all hardware threads). Each block is
   /// single-threaded internally; parallelism comes from running blocks
   /// concurrently.
   int num_threads = 1;
-  /// First-class shard mode: split the collection(s) into exactly this
-  /// many shards (ShardPlan::Make) and enumerate shard-pair blocks.
-  /// Takes precedence over max_partition_records.
+  /// Split the collection(s) into exactly this many shards
+  /// (ShardPlan::Make) and enumerate shard-pair blocks; both sides of an
+  /// R-S join get the same count. Must be > 0 (0 selects the monolithic
+  /// path at the Engine level and never reaches the pipeline).
   size_t num_shards = 0;
-  /// Shard placement scheme of the shard mode (range keeps the
-  /// stripe-streaming emission; hash models distributed placement and
-  /// switches to collect-and-merge emission).
+  /// Shard placement scheme (range keeps the stripe-streaming emission;
+  /// hash models distributed placement and switches to collect-and-merge
+  /// emission).
   ShardBy shard_by = ShardBy::kRange;
   /// Out-of-core budget: when > 0, the join buffers merged results and
   /// spills sorted runs to temp files in `spill_dir` once the buffer
@@ -60,9 +53,8 @@ struct PipelineOptions {
 
 /// Runs one join as a pipeline of shard-pair blocks.
 ///
-/// The bound collection(s) are split under a ShardPlan — contiguous
-/// size-bounded partitions (partition mode), or exactly num_shards
-/// range/hash shards (shard mode) — and every shard pair becomes an
+/// The bound collection(s) are split into num_shards range or hash
+/// shards (ShardPlan::Make), and every shard pair becomes an
 /// independent block: a self-contained prepare → candidate generation →
 /// batched verification run over just that pair's record slices,
 /// executed on a shared ThreadPool. Peak prepared-state memory is
@@ -87,8 +79,8 @@ struct PipelineOptions {
 ///    second), each pair exactly once, early termination honoured.
 ///
 /// Stats: per-stage seconds are summed across blocks (aggregate work,
-/// not wall time), counts are summed; `partitions`/`shards` +
-/// `partition_blocks` record the plan shape and `spill_runs/pairs/bytes`
+/// not wall time), counts are summed; `shards` + `partition_blocks`
+/// record the plan shape and `spill_runs/pairs/bytes`
 /// the out-of-core traffic. On early termination under stripe streaming
 /// the stats cover the stripes emitted so far; the collect-and-merge
 /// path has already run every block by emission time, so its stats

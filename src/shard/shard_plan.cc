@@ -52,16 +52,6 @@ ShardPlan ShardPlan::Make(size_t num_records, size_t num_shards,
   return plan;
 }
 
-ShardPlan ShardPlan::Bounded(size_t num_records, size_t max_records) {
-  size_t shards = 1;
-  if (max_records > 0 && max_records < num_records) {
-    shards = (num_records + max_records - 1) / max_records;
-  }
-  ShardPlan plan = Make(num_records, shards, ShardBy::kRange);
-  if (num_records == 0) plan.shard_ids.clear();
-  return plan;
-}
-
 std::vector<PartitionBlock> EnumerateBlocks(size_t s_parts, size_t t_parts,
                                             bool self_join) {
   std::vector<PartitionBlock> blocks;

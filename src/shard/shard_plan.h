@@ -3,10 +3,9 @@
 /// to exactly one of N shards chosen by record range or by key hash,
 /// and the same plan drives the join pipeline's shard-pair blocks, the
 /// sharded serving store (shard/sharded_index.h) and per-shard snapshot
-/// files. Size-bounded partition mode is a range plan too
-/// (ShardPlan::Bounded). A plan is a pure function of its arguments, so
-/// two processes configured alike agree on shard membership without any
-/// coordination — the property a future process/host boundary needs.
+/// files. A plan is a pure function of its arguments, so two processes
+/// configured alike agree on shard membership without any coordination
+/// — the property a future process/host boundary needs.
 
 #ifndef AUJOIN_SHARD_SHARD_PLAN_H_
 #define AUJOIN_SHARD_SHARD_PLAN_H_
@@ -55,14 +54,6 @@ struct ShardPlan {
   /// its arguments.
   static ShardPlan Make(size_t num_records, size_t num_shards,
                         ShardBy shard_by);
-
-  /// Partition mode's plan: the fewest balanced range shards of at most
-  /// `max_records` records each — Make(num_records,
-  /// ceil(num_records / max_records), kRange), one shard when
-  /// `max_records` is 0 or covers the collection. An empty collection
-  /// has no shards at all (not one empty shard), so an empty join side
-  /// contributes no partitions and no blocks.
-  static ShardPlan Bounded(size_t num_records, size_t max_records);
 };
 
 /// One unit of pipeline work: the cross product of an S shard and a

@@ -90,23 +90,4 @@ TauRecommendation RecommendTau(const JoinContext& context,
   return rec;
 }
 
-JoinResult JoinWithSuggestedTau(const JoinContext& context,
-                                JoinOptions join_options,
-                                const TunerOptions& tuner_options,
-                                TauRecommendation* recommendation) {
-  WallTimer timer;
-  CostModel cost_model = CalibrateCostModel(context, join_options);
-  TauRecommendation rec = RecommendTau(context, cost_model, tuner_options);
-  double suggest_seconds = timer.Seconds();
-
-  join_options.tau = rec.best_tau;
-  if (join_options.method == FilterMethod::kUFilter) {
-    join_options.method = tuner_options.method;
-  }
-  JoinResult result = UnifiedJoin(context, join_options);
-  result.stats.suggest_seconds = suggest_seconds;
-  if (recommendation != nullptr) *recommendation = rec;
-  return result;
-}
-
 }  // namespace aujoin

@@ -49,14 +49,6 @@ TauRecommendation RecommendTau(const JoinContext& context,
                                const CostModel& cost_model,
                                const TunerOptions& options);
 
-/// Convenience wrapper: calibrates the cost model, recommends tau, then
-/// runs the full join with the suggested value. The suggestion time is
-/// reported in the result's stats.suggest_seconds.
-JoinResult JoinWithSuggestedTau(const JoinContext& context,
-                                JoinOptions join_options,
-                                const TunerOptions& tuner_options,
-                                TauRecommendation* recommendation = nullptr);
-
 }  // namespace aujoin
 
 #endif  // AUJOIN_TUNER_RECOMMEND_H_

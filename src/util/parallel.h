@@ -23,9 +23,9 @@ inline int ResolveThreads(int requested) {
 
 /// A fixed-size worker pool draining a FIFO work queue. This is the one
 /// parallel-execution primitive in the codebase: ParallelFor below chunks
-/// onto a pool, and the partitioned join pipeline shares a single pool
+/// onto a pool, and the sharded join pipeline shares a single pool
 /// across context preparation, candidate generation and verification of
-/// every partition block.
+/// every shard-pair block.
 ///
 /// Tasks must not call blocking pool operations (Submit-and-wait,
 /// WaitIdle, ParallelFor) on the pool that runs them: with every worker

@@ -3,10 +3,10 @@
 // layout change: a reference probe over a pointer-chasing hash map of
 // posting vectors — the pre-CSR RunFilter's shape — has to produce
 // the same candidates, every registry algorithm has to keep
-// its pairs/stats, the partitioned pipeline has to agree with the
+// its pairs/stats, the sharded pipeline has to agree with the
 // monolithic path, and Engine::Search has to equal a brute-force scan.
 // The suite name carries "Csr" so the CI sanitize job's TSan filter
-// runs the partitioned and concurrent cases under ThreadSanitizer.
+// runs the sharded and concurrent cases under ThreadSanitizer.
 
 #include <gtest/gtest.h>
 
@@ -51,13 +51,13 @@ class CsrParityFixtureTest : public ::testing::Test {
     dataset_ = nullptr;
   }
 
-  static Engine MakeEngine(int threads, size_t max_partition_records = 0) {
+  static Engine MakeEngine(int threads, size_t num_shards = 0) {
     Engine engine = EngineBuilder()
                         .SetKnowledge(dataset_->knowledge())
                         .SetMeasures("TJS")
                         .SetQ(3)
                         .SetThreads(threads)
-                        .SetMaxPartitionRecords(max_partition_records)
+                        .SetNumShards(num_shards)
                         .Build();
     engine.SetRecords(dataset_->records);
     return engine;
@@ -143,8 +143,8 @@ TEST_F(CsrParityFixtureTest, LegacyMapProbeProducesIdenticalCandidates) {
 TEST_F(CsrParityFixtureTest, EveryAlgorithmKeepsPairsAcrossPartitioning) {
   // Property over the whole registry: the CSR candidate path must leave
   // every algorithm's pairs and result stats untouched, monolithic and
-  // partitioned alike (partition blocks probe slice-local CSR indexes
-  // from pool threads — the TSan-relevant case).
+  // sharded alike (shard-pair blocks probe slice-local CSR indexes from
+  // pool threads — the TSan-relevant case).
   EngineJoinOptions options;
   options.theta = kTheta;
   options.tau = kTau;
@@ -154,10 +154,8 @@ TEST_F(CsrParityFixtureTest, EveryAlgorithmKeepsPairsAcrossPartitioning) {
     ASSERT_TRUE(mono_result.ok()) << name << ": "
                                   << mono_result.status().ToString();
 
-    Engine partitioned = MakeEngine(
-        /*threads=*/2, /*max_partition_records=*/
-        std::max<size_t>(2, dataset_->records.size() / 3));
-    Result<JoinResult> part_result = partitioned.Join(name, options);
+    Engine sharded = MakeEngine(/*threads=*/2, /*num_shards=*/3);
+    Result<JoinResult> part_result = sharded.Join(name, options);
     ASSERT_TRUE(part_result.ok()) << name << ": "
                                   << part_result.status().ToString();
 

@@ -1,7 +1,7 @@
-// Tests for the partitioned join pipeline: partition-plan invariants,
-// exact partitioned-vs-monolithic result parity across every registry
-// algorithm (the PR's acceptance criterion), partition-boundary dedup,
-// thread-count invariance under partitioning, and early termination.
+// Tests for the blocked join pipeline over range shards: block
+// enumeration, exact sharded-vs-monolithic result parity across every
+// registry algorithm, shard-boundary dedup, thread-count invariance
+// under sharding, and early termination.
 
 #include <algorithm>
 #include <cstdint>
@@ -24,50 +24,7 @@ namespace {
 
 using PairVec = std::vector<std::pair<uint32_t, uint32_t>>;
 
-// ------------------------------------------------------- partition plan
-
-// Partition mode lowers onto range shards (ShardPlan::Bounded); these
-// cases pin the plan shape it gets.
-
-TEST(PartitionPlanTest, ZeroBoundIsOneMonolithicPartition) {
-  ShardPlan plan = ShardPlan::Bounded(100, 0);
-  ASSERT_EQ(plan.num_shards(), 1u);
-  EXPECT_EQ(plan.shard_ids[0].front(), 0u);
-  EXPECT_EQ(plan.shard_ids[0].back(), 99u);
-}
-
-TEST(PartitionPlanTest, BoundAtOrAboveSizeIsOnePartition) {
-  EXPECT_EQ(ShardPlan::Bounded(100, 100).num_shards(), 1u);
-  EXPECT_EQ(ShardPlan::Bounded(100, 1000).num_shards(), 1u);
-}
-
-TEST(PartitionPlanTest, EmptyCollectionHasNoPartitions) {
-  EXPECT_EQ(ShardPlan::Bounded(0, 10).num_shards(), 0u);
-}
-
-TEST(PartitionPlanTest, ShardsAreContiguousBoundedAndBalanced) {
-  for (size_t n : {1u, 7u, 64u, 100u, 1001u}) {
-    for (size_t max : {1u, 3u, 10u, 63u, 64u}) {
-      ShardPlan plan = ShardPlan::Bounded(n, max);
-      EXPECT_TRUE(plan.contiguous);
-      EXPECT_EQ(plan.shard_by, ShardBy::kRange);
-      uint32_t expect_begin = 0;
-      size_t min_size = SIZE_MAX, max_size = 0;
-      for (const std::vector<uint32_t>& ids : plan.shard_ids) {
-        ASSERT_GT(ids.size(), 0u);
-        EXPECT_EQ(ids.front(), expect_begin);
-        EXPECT_EQ(ids.back() - ids.front() + 1, ids.size());
-        EXPECT_LE(ids.size(), max) << "n=" << n << " max=" << max;
-        min_size = std::min(min_size, ids.size());
-        max_size = std::max(max_size, ids.size());
-        expect_begin = ids.back() + 1;
-      }
-      EXPECT_EQ(expect_begin, n);
-      // Balanced: no shard more than one record larger than another.
-      EXPECT_LE(max_size - min_size, 1u) << "n=" << n << " max=" << max;
-    }
-  }
-}
+// ----------------------------------------------------- block enumeration
 
 TEST(PartitionPlanTest, SelfJoinBlocksAreUpperTriangleInStripeOrder) {
   std::vector<PartitionBlock> blocks = EnumerateBlocks(3, 3, true);
@@ -89,7 +46,7 @@ TEST(PartitionPlanTest, RsJoinBlocksCoverTheFullGrid) {
 // --------------------------------------------------------- parity suite
 
 /// Fixture worlds: the Figure-1 fixture (8 hand-written strings) and a
-/// generated datagen corpus large enough for several partitions.
+/// generated datagen corpus large enough for several shards.
 class PipelineTest : public ::testing::Test {
  protected:
   PipelineTest() {
@@ -108,13 +65,13 @@ class PipelineTest : public ::testing::Test {
     }
   }
 
-  Engine MakeEngine(size_t max_partition_records, int num_threads = 1) {
+  Engine MakeEngine(size_t num_shards, int num_threads = 1) {
     Engine engine = EngineBuilder()
                         .SetKnowledge(world_.knowledge())
                         .SetMeasures("TJS")
                         .SetQ(2)
                         .SetThreads(num_threads)
-                        .SetMaxPartitionRecords(max_partition_records)
+                        .SetNumShards(num_shards)
                         .Build();
     engine.SetRecords(records_);
     return engine;
@@ -125,45 +82,45 @@ class PipelineTest : public ::testing::Test {
   std::vector<Record> records_;
 };
 
-// The acceptance criterion: for every registry algorithm, the partitioned
-// path must produce the identical sorted match set as the monolithic one.
+// For every registry algorithm, the sharded path must produce the
+// identical sorted match set as the monolithic one, from one record per
+// shard up to a single shard.
 TEST_F(PipelineTest, PartitionedMatchesMonolithicForEveryAlgorithm) {
   Engine monolithic = MakeEngine(0);
-  for (size_t max : {1u, 2u, 3u, 5u, 8u, 100u}) {
-    Engine partitioned = MakeEngine(max);
+  for (size_t shards : {8u, 4u, 3u, 2u, 1u}) {
+    Engine sharded = MakeEngine(shards);
     for (const std::string& name : AlgorithmRegistry::Global().Names()) {
       Result<JoinResult> mono =
           monolithic.Join(name, {.theta = 0.7, .tau = 2});
-      Result<JoinResult> part =
-          partitioned.Join(name, {.theta = 0.7, .tau = 2});
+      Result<JoinResult> part = sharded.Join(name, {.theta = 0.7, .tau = 2});
       ASSERT_TRUE(mono.ok()) << name;
-      ASSERT_TRUE(part.ok()) << name << " max=" << max;
-      EXPECT_EQ(part->pairs, mono->pairs) << name << " max=" << max;
+      ASSERT_TRUE(part.ok()) << name << " shards=" << shards;
+      EXPECT_EQ(part->pairs, mono->pairs) << name << " shards=" << shards;
       EXPECT_EQ(part->stats.results, mono->stats.results) << name;
     }
   }
 }
 
 TEST_F(PipelineTest, PartitionedStatsRecordThePlanShape) {
-  Engine partitioned = MakeEngine(3);  // 8 records -> 3 partitions
-  Result<JoinResult> result = partitioned.Join("unified", {.theta = 0.7});
+  Engine sharded = MakeEngine(3);
+  Result<JoinResult> result = sharded.Join("unified", {.theta = 0.7});
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->stats.partitions, 3u);
+  EXPECT_EQ(result->stats.shards, 3u);
   EXPECT_EQ(result->stats.partition_blocks, 6u);  // upper triangle of 3
 
   Engine monolithic = MakeEngine(0);
   Result<JoinResult> mono = monolithic.Join("unified", {.theta = 0.7});
   ASSERT_TRUE(mono.ok());
-  EXPECT_EQ(mono->stats.partitions, 0u);
+  EXPECT_EQ(mono->stats.shards, 0u);
   EXPECT_EQ(mono->stats.partition_blocks, 0u);
 }
 
-// Records 1 and 6 are exact duplicates; with max = 3 they land in
-// different partitions, so the pair (1, 6) must come from exactly one
+// Records 1 and 6 are exact duplicates; with 3 shards they land in
+// different shards, so the pair (1, 6) must come from exactly one
 // cross block — and exactly once.
 TEST_F(PipelineTest, BoundaryStraddlingPairsAreEmittedExactlyOnce) {
-  for (size_t max : {1u, 2u, 3u, 4u}) {
-    Engine engine = MakeEngine(max);
+  for (size_t shards : {8u, 4u, 3u, 2u}) {
+    Engine engine = MakeEngine(shards);
     for (const std::string& name : AlgorithmRegistry::Global().Names()) {
       std::map<std::pair<uint32_t, uint32_t>, int> seen;
       CallbackSink sink([&](uint32_t a, uint32_t b) {
@@ -173,10 +130,10 @@ TEST_F(PipelineTest, BoundaryStraddlingPairsAreEmittedExactlyOnce) {
       Result<JoinStats> stats =
           engine.Join(name, {.theta = 0.7, .tau = 2}, &sink);
       ASSERT_TRUE(stats.ok()) << name;
-      EXPECT_EQ(seen.count({1, 6}), 1u) << name << " max=" << max;
+      EXPECT_EQ(seen.count({1, 6}), 1u) << name << " shards=" << shards;
       for (const auto& [pair, count] : seen) {
         EXPECT_EQ(count, 1) << name << " pair (" << pair.first << ","
-                            << pair.second << ") max=" << max;
+                            << pair.second << ") shards=" << shards;
         EXPECT_LT(pair.first, pair.second) << name;
       }
     }
@@ -215,7 +172,7 @@ TEST_F(PipelineTest, ThreadCountDoesNotChangePartitionedOutput) {
 }
 
 TEST_F(PipelineTest, EarlyTerminationStopsThePartitionedJoin) {
-  Engine engine = MakeEngine(2, 2);
+  Engine engine = MakeEngine(4, 2);
   Result<JoinResult> all = engine.Join("unified", {.theta = 0.7, .tau = 2});
   ASSERT_TRUE(all.ok());
   ASSERT_GE(all->pairs.size(), 2u);
@@ -242,17 +199,17 @@ TEST_F(PipelineTest, PartitionedRsJoinMatchesMonolithic) {
   ASSERT_TRUE(mono.ok());
   ASSERT_FALSE(mono->pairs.empty());
 
-  for (size_t max : {2u, 3u, 7u}) {
-    Engine partitioned = MakeEngine(max, 2);
-    partitioned.SetRecords(records_, &others);
-    Result<JoinResult> part = partitioned.Join("unified", {.theta = 0.8});
-    ASSERT_TRUE(part.ok()) << "max=" << max;
-    EXPECT_EQ(part->pairs, mono->pairs) << "max=" << max;
+  for (size_t shards : {4u, 3u, 2u}) {
+    Engine sharded = MakeEngine(shards, 2);
+    sharded.SetRecords(records_, &others);
+    Result<JoinResult> part = sharded.Join("unified", {.theta = 0.8});
+    ASSERT_TRUE(part.ok()) << "shards=" << shards;
+    EXPECT_EQ(part->pairs, mono->pairs) << "shards=" << shards;
   }
 }
 
 // Under exact matching every algorithm must still find precisely the
-// duplicate pairs when those duplicates straddle partition boundaries.
+// duplicate pairs when those duplicates straddle shard boundaries.
 TEST(PipelineExactMatchTest, AllAlgorithmsAgreeAtThetaOneWhenPartitioned) {
   Vocabulary vocab;
   RuleSet rules;
@@ -272,23 +229,23 @@ TEST(PipelineExactMatchTest, AllAlgorithmsAgreeAtThetaOneWhenPartitioned) {
   }
   const PairVec expected = {{0, 2}, {1, 4}};
 
-  for (size_t max : {1u, 2u, 3u}) {
+  for (size_t shards : {5u, 3u, 2u}) {
     Engine engine = EngineBuilder()
                         .SetKnowledge(knowledge)
                         .SetMeasures("TJS")
                         .SetQ(2)
-                        .SetMaxPartitionRecords(max)
+                        .SetNumShards(shards)
                         .Build();
     engine.SetRecords(records);
     for (const std::string& name : AlgorithmRegistry::Global().Names()) {
       Result<JoinResult> result = engine.Join(name, {.theta = 1.0, .tau = 1});
-      ASSERT_TRUE(result.ok()) << name << " max=" << max;
-      EXPECT_EQ(result->pairs, expected) << name << " max=" << max;
+      ASSERT_TRUE(result.ok()) << name << " shards=" << shards;
+      EXPECT_EQ(result->pairs, expected) << name << " shards=" << shards;
     }
   }
 }
 
-// Parity on a generated corpus big enough for a real partition grid, for
+// Parity on a generated corpus big enough for a real shard grid, for
 // every registry algorithm (kept small so Debug/sanitizer CI stays fast).
 TEST(PipelineCorpusTest, GeneratedCorpusParityAcrossAlgorithms) {
   Vocabulary vocab;
@@ -312,18 +269,18 @@ TEST(PipelineCorpusTest, GeneratedCorpusParityAcrossAlgorithms) {
                           .SetQ(3)
                           .Build();
   monolithic.SetRecords(corpus.records);
-  Engine partitioned = EngineBuilder()
-                           .SetKnowledge(knowledge)
-                           .SetMeasures("TJS")
-                           .SetQ(3)
-                           .SetThreads(0)
-                           .SetMaxPartitionRecords(40)
-                           .Build();
-  partitioned.SetRecords(corpus.records);
+  Engine sharded = EngineBuilder()
+                       .SetKnowledge(knowledge)
+                       .SetMeasures("TJS")
+                       .SetQ(3)
+                       .SetThreads(0)
+                       .SetNumShards(4)
+                       .Build();
+  sharded.SetRecords(corpus.records);
 
   for (const std::string& name : AlgorithmRegistry::Global().Names()) {
     Result<JoinResult> mono = monolithic.Join(name, {.theta = 0.75, .tau = 2});
-    Result<JoinResult> part = partitioned.Join(name, {.theta = 0.75, .tau = 2});
+    Result<JoinResult> part = sharded.Join(name, {.theta = 0.75, .tau = 2});
     ASSERT_TRUE(mono.ok()) << name;
     ASSERT_TRUE(part.ok()) << name;
     EXPECT_EQ(part->pairs, mono->pairs) << name;

@@ -236,13 +236,15 @@ void CheckUpperBound(UsimComputer* computer, const Record& s, const Record& t,
 }
 
 // Generated MED/WIKI worlds: each world's truth pairs plus as many random
-// pairs, under q = 3 Jaccard and q = 2 cosine and dice.
+// pairs, under q = 3 Jaccard and q = 2 cosine and dice. The world name is a
+// std::string, not a const char*, so gtest prints the parameter by value and
+// the test's name does not carry a load address that changes every run.
 class UpperBoundGeneratedTest
-    : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>> {};
 
 TEST_P(UpperBoundGeneratedTest, SoundOnTruthAndRandomPairs) {
-  const auto [profile_name, seed] = GetParam();
-  const bool wiki = std::string(profile_name) == "wiki";
+  const auto& [profile_name, seed] = GetParam();
+  const bool wiki = profile_name == "wiki";
   Vocabulary vocab;
   Taxonomy taxonomy = GenerateTaxonomy(
       {.num_nodes = wiki ? 400u : 200u, .seed = seed}, &vocab);
@@ -280,7 +282,7 @@ TEST_P(UpperBoundGeneratedTest, SoundOnTruthAndRandomPairs) {
     UsimComputer computer(knowledge, options);
     for (const auto& [a, b] : pairs) {
       CheckUpperBound(&computer, corpus.records[a], corpus.records[b],
-                      std::string(profile_name) + " seed=" +
+                      profile_name + " seed=" +
                           std::to_string(seed) + " " + measure.name +
                           " pair=(" + std::to_string(a) + "," +
                           std::to_string(b) + ")",
@@ -295,7 +297,8 @@ TEST_P(UpperBoundGeneratedTest, SoundOnTruthAndRandomPairs) {
 
 INSTANTIATE_TEST_SUITE_P(
     Worlds, UpperBoundGeneratedTest,
-    ::testing::Combine(::testing::Values("med", "wiki"),
+    ::testing::Combine(::testing::Values(std::string("med"),
+                                         std::string("wiki")),
                        ::testing::Values(uint64_t{1}, uint64_t{2})));
 
 // Overlapping-rule instances in the style of Table 9

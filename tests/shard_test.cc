@@ -794,14 +794,13 @@ TEST_F(ShardSpillTest, PartitionedJoinSpillsThroughTheSamePath) {
       monolithic.Join("unified", {.theta = 0.7, .tau = 2});
   ASSERT_TRUE(mono.ok());
 
-  // Partition mode (max_partition_records) with a spill budget: the
-  // pipeline's collect-and-merge engages even though the plan is
-  // contiguous.
+  // Range shards with a spill budget: the pipeline's collect-and-merge
+  // engages even though the plan is contiguous.
   Engine spilling = EngineBuilder()
                         .SetKnowledge(world_.knowledge())
                         .SetMeasures("TJS")
                         .SetQ(2)
-                        .SetMaxPartitionRecords(3)
+                        .SetNumShards(3)
                         .SetSpillBudgetBytes(8)
                         .SetSpillDir(dir)
                         .Build();

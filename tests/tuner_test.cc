@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "api/engine.h"
 #include "datagen/corpus_gen.h"
 #include "datagen/synonym_gen.h"
 #include "datagen/taxonomy_gen.h"
@@ -152,8 +153,8 @@ TEST_F(TunerTest, JoinWithSuggestedTauProducesCorrectResults) {
   profile.num_strings = 150;
   profile.seed = 11;
   const Corpus corpus = gen.Generate(profile, {.num_pairs = 30});
-  JoinContext context(knowledge_, MsimOptions{});
-  context.Prepare(corpus.records, nullptr);
+  Engine engine = EngineBuilder().SetKnowledge(knowledge_).Build();
+  engine.SetRecords(corpus.records);
 
   TunerOptions opts;
   opts.tau_universe = {1, 2, 3};
@@ -161,18 +162,20 @@ TEST_F(TunerTest, JoinWithSuggestedTauProducesCorrectResults) {
   opts.min_iterations = 5;
   opts.max_iterations = 30;
   opts.theta = 0.85;
-  JoinOptions join_opts;
+  EngineJoinOptions join_opts;
   join_opts.theta = 0.85;
   join_opts.method = FilterMethod::kAuDp;
   TauRecommendation rec;
-  JoinResult with_suggestion =
-      JoinWithSuggestedTau(context, join_opts, opts, &rec);
+  Result<JoinResult> tuned = engine.JoinWithSuggestedTau(join_opts, opts, &rec);
+  ASSERT_TRUE(tuned.ok()) << tuned.status().ToString();
+  const JoinResult& with_suggestion = *tuned;
   EXPECT_GT(with_suggestion.stats.suggest_seconds, 0.0);
 
   // The result set must be identical to a fixed-tau join (any tau).
-  join_opts.tau = 1;
-  join_opts.method = FilterMethod::kUFilter;
-  JoinResult reference = UnifiedJoin(context, join_opts);
+  JoinOptions reference_opts;
+  reference_opts.theta = 0.85;
+  reference_opts.method = FilterMethod::kUFilter;
+  JoinResult reference = UnifiedJoin(engine.PreparedContext(), reference_opts);
   EXPECT_FALSE(reference.pairs.empty());
   auto canon = [](std::vector<std::pair<uint32_t, uint32_t>> v) {
     for (auto& p : v) {

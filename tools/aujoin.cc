@@ -34,6 +34,7 @@
 // suggested overlap constraint tau as JSON. `stats` ingests and prints
 // the dataset manifest. Full flag reference: docs/cli.md.
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
@@ -87,7 +88,6 @@ engine flags (join, query, tune):
   --measures=TJS         measure combination (J, TS, TJS, ...)
   --q=3                  gram length for the J measure
   --threads=1            worker threads (0 = all hardware threads)
-  --partition=0          partitioned pipeline record bound (0 = monolithic)
   --shards=0             first-class shards (0 = monolithic): joins run
                          shard-pair blocks, queries scatter-gather across
                          per-shard indexes; results identical either way
@@ -157,6 +157,17 @@ tune flags:
   --sample=0.01          Bernoulli sampling probability per side
 )";
 
+/// Every flag some subcommand reads, space-separated. Run rejects any
+/// other --NAME, so a misspelt flag (--shrads=4) fails instead of running
+/// on its default.
+constexpr const char* kKnownFlags =
+    "algorithm checkpoint column_indices columns format header help "
+    "ids_only input input2 keep_case linger_seconds max_records measures "
+    "name out output_format q queries ready_file records require_nonzero "
+    "rules sample shard_by shards skip_malformed snapshot "
+    "spill_budget_bytes spill_dir split_punctuation stats_out tau "
+    "tau_universe taxonomy theta threads topk wal wal_checkpoint_bytes";
+
 /// Parses `text`, the value (or one list field) of --NAME, as a whole
 /// base-10 integer >= `min`, exiting 1 with an error naming the flag
 /// otherwise: "abc" and "1x" are not integers, and cast to size_t a
@@ -186,6 +197,31 @@ size_t CountFlag(const Flags& flags, const std::string& name,
                  int64_t default_value, int64_t min = 0) {
   if (!flags.Has(name)) return static_cast<size_t>(default_value);
   return ParseCount(name, flags.GetString(name, ""), min);
+}
+
+/// Reads --NAME as a whole decimal number in (0, 1] — a similarity
+/// threshold or a sampling probability — exiting 1 with an error naming
+/// the flag otherwise: "abc" would read as 0, and a value outside the
+/// range (NaN included) makes the join or the tuner answer nonsense
+/// with exit 0. `default_value` when the flag is absent.
+double FractionFlag(const Flags& flags, const std::string& name,
+                    double default_value) {
+  if (!flags.Has(name)) return default_value;
+  const std::string text = flags.GetString(name, "");
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) {
+    std::fprintf(stderr, "error: --%s must be a number (got '%s')\n",
+                 name.c_str(), text.c_str());
+    std::exit(1);
+  }
+  if (!(value > 0.0 && value <= 1.0)) {
+    std::fprintf(stderr, "error: --%s must be in (0, 1] (got %s)\n",
+                 name.c_str(), text.c_str());
+    std::exit(1);
+  }
+  return value;
 }
 
 /// Builds the DatasetSpec shared by every subcommand from flags.
@@ -242,8 +278,7 @@ EngineBuilder BuilderFromFlags(const Flags& flags) {
   return EngineBuilder()
       .SetMeasures(flags.GetString("measures", "TJS"))
       .SetQ(static_cast<int>(CountFlag(flags, "q", 3, /*min=*/1)))
-      .SetThreads(static_cast<int>(flags.GetInt("threads", 1)))
-      .SetMaxPartitionRecords(CountFlag(flags, "partition", 0))
+      .SetThreads(static_cast<int>(CountFlag(flags, "threads", 1)))
       .SetNumShards(CountFlag(flags, "shards", 0))
       .SetShardBy(shard_by)
       .SetSpillBudgetBytes(CountFlag(flags, "spill_budget_bytes", 0))
@@ -320,7 +355,7 @@ BenchReport MakeCliReport(const Flags& flags, const Dataset& dataset,
   report.num_records = dataset.records.size();
   report.dataset_manifest_json = dataset.manifest.ToJson();
   run->measures = flags.GetString("measures", "TJS");
-  run->threads = static_cast<int>(flags.GetInt("threads", 1));
+  run->threads = static_cast<int>(CountFlag(flags, "threads", 1));
   run->num_records = dataset.records.size();
   run->ok = true;
   run->peak_rss_bytes = CurrentPeakRssBytes();
@@ -454,6 +489,11 @@ int RunJoin(const Flags& flags) {
   DatasetSpec spec;
   if (!SpecFromFlags(flags, &spec)) return 1;
   EngineBuilder builder = BuilderFromFlags(flags);
+  EngineJoinOptions options;
+  options.theta = FractionFlag(flags, "theta", 0.8);
+  // 0 = pick tau with Algorithm 7.
+  const size_t tau = CountFlag(flags, "tau", 2);
+  const double sample = FractionFlag(flags, "sample", 0.05);
   Result<Dataset> dataset = LoadDataset(spec);
   if (!dataset.ok()) {
     std::fprintf(stderr, "error: %s\n", dataset.status().ToString().c_str());
@@ -468,22 +508,19 @@ int RunJoin(const Flags& flags) {
       dataset->records2.empty() ? dataset->records : dataset->records2;
 
   std::string algorithm = flags.GetString("algorithm", "unified");
-  EngineJoinOptions options;
-  options.theta = flags.GetDouble("theta", 0.8);
-  int tau = static_cast<int>(flags.GetInt("tau", 2));
-  options.tau = tau > 0 ? tau : 1;
+  options.tau = tau > 0 ? static_cast<int>(tau) : 1;
 
   if (!flags.GetString("snapshot", "").empty()) {
     // Only the monolithic unified join rides the shared PreparedIndex
-    // the snapshot restores; the partitioned pipeline and the baseline
+    // the snapshot restores; the sharded pipeline and the baseline
     // algorithms prepare their own state and would silently ignore it.
-    if (algorithm != "unified" || flags.GetInt("partition", 0) != 0 ||
-        flags.GetInt("shards", 0) != 0 || !dataset->records2.empty()) {
+    if (algorithm != "unified" || engine.options().num_shards != 0 ||
+        !dataset->records2.empty()) {
       std::fprintf(stderr,
                    "error: --snapshot requires --algorithm=unified, no "
-                   "--partition, no --shards and no --input2 (the snapshot "
-                   "restores the shared monolithic self-join index; sharded "
-                   "snapshots serve `query`)\n");
+                   "--shards and no --input2 (the snapshot restores the "
+                   "shared monolithic self-join index; sharded snapshots "
+                   "serve `query`)\n");
       return 1;
     }
     if (!MaybeLoadSnapshot(flags, &engine)) return 1;
@@ -509,7 +546,7 @@ int RunJoin(const Flags& flags) {
 
   JoinStats stats;
   WallTimer wall;
-  if (tau <= 0) {
+  if (tau == 0) {
     if (algorithm != "unified") {
       std::fprintf(stderr,
                    "error: --tau=0 (auto-tune) requires --algorithm=unified\n");
@@ -518,8 +555,7 @@ int RunJoin(const Flags& flags) {
     TunerOptions tuner;
     tuner.theta = options.theta;
     tuner.method = options.method;
-    tuner.sample_prob_s = tuner.sample_prob_t =
-        flags.GetDouble("sample", 0.05);
+    tuner.sample_prob_s = tuner.sample_prob_t = sample;
     TauRecommendation rec;
     Result<JoinResult> result =
         engine.JoinWithSuggestedTau(options, tuner, &rec);
@@ -560,7 +596,6 @@ int RunJoin(const Flags& flags) {
     run.algorithm = algorithm;
     run.theta = options.theta;
     run.tau = options.tau;
-    run.max_partition_records = CountFlag(flags, "partition", 0);
     run.stats = stats;
     run.index_source = engine.index_source();
     run.snapshot_load_ms = engine.snapshot_load_seconds() * 1000.0;
@@ -589,7 +624,10 @@ int RunQuery(const Flags& flags) {
     return 1;
   }
   EngineBuilder builder = BuilderFromFlags(flags);
-  const size_t topk = CountFlag(flags, "topk", 0);
+  EngineSearchOptions options;
+  options.theta = FractionFlag(flags, "theta", 0.8);
+  options.tau = static_cast<int>(CountFlag(flags, "tau", 1));
+  options.k = CountFlag(flags, "topk", 0);
   Result<Dataset> dataset = LoadDataset(spec);
   if (!dataset.ok()) {
     std::fprintf(stderr, "error: %s\n", dataset.status().ToString().c_str());
@@ -662,11 +700,6 @@ int RunQuery(const Flags& flags) {
                  queries_path.c_str());
     return 1;
   }
-
-  EngineSearchOptions options;
-  options.theta = flags.GetDouble("theta", 0.8);
-  options.tau = static_cast<int>(flags.GetInt("tau", 1));
-  options.k = topk;
 
   OutputTarget target;
   if (!OpenOutput(flags, &target)) return 1;
@@ -773,6 +806,7 @@ int RunAppend(const Flags& flags) {
     return 1;
   }
   EngineBuilder builder = BuilderFromFlags(flags);
+  const size_t linger_seconds = CountFlag(flags, "linger_seconds", 0);
   Result<Dataset> dataset = LoadDataset(spec);
   if (!dataset.ok()) {
     std::fprintf(stderr, "error: %s\n", dataset.status().ToString().c_str());
@@ -897,11 +931,9 @@ int RunAppend(const Flags& flags) {
     if (!WriteCliReport(report, stats_out)) return 1;
   }
 
-  int64_t linger = flags.GetInt("linger_seconds", 0);
-  if (linger > 0) {
-    std::fprintf(stderr, "lingering %llds (kill window)...\n",
-                 static_cast<long long>(linger));
-    std::this_thread::sleep_for(std::chrono::seconds(linger));
+  if (linger_seconds > 0) {
+    std::fprintf(stderr, "lingering %zus (kill window)...\n", linger_seconds);
+    std::this_thread::sleep_for(std::chrono::seconds(linger_seconds));
   }
   return 0;
 }
@@ -910,6 +942,20 @@ int RunTune(const Flags& flags) {
   DatasetSpec spec;
   if (!SpecFromFlags(flags, &spec)) return 1;
   EngineBuilder builder = BuilderFromFlags(flags);
+  EngineJoinOptions options;
+  options.theta = FractionFlag(flags, "theta", 0.8);
+  TunerOptions tuner;
+  tuner.theta = options.theta;
+  tuner.sample_prob_s = tuner.sample_prob_t =
+      FractionFlag(flags, "sample", 0.01);
+  const std::string universe = flags.GetString("tau_universe", "");
+  if (!universe.empty()) {
+    tuner.tau_universe.clear();
+    for (const std::string& field : SplitString(universe, ',')) {
+      tuner.tau_universe.push_back(
+          static_cast<int>(ParseCount("tau_universe", field, 1)));
+    }
+  }
   Result<Dataset> dataset = LoadDataset(spec);
   if (!dataset.ok()) {
     std::fprintf(stderr, "error: %s\n", dataset.status().ToString().c_str());
@@ -917,19 +963,6 @@ int RunTune(const Flags& flags) {
   }
   Engine engine = builder.SetKnowledge(dataset->knowledge()).Build();
   engine.SetRecords(dataset->records);
-
-  EngineJoinOptions options;
-  options.theta = flags.GetDouble("theta", 0.8);
-  TunerOptions tuner;
-  tuner.theta = options.theta;
-  tuner.sample_prob_s = tuner.sample_prob_t = flags.GetDouble("sample", 0.01);
-  std::vector<int64_t> universe = flags.GetIntList("tau_universe", {});
-  if (!universe.empty()) {
-    tuner.tau_universe.clear();
-    for (int64_t tau : universe) {
-      tuner.tau_universe.push_back(static_cast<int>(tau));
-    }
-  }
 
   TauRecommendation rec;
   Result<JoinResult> result =
@@ -978,6 +1011,16 @@ int Run(int argc, char** argv) {
   if (flags.GetBool("help", false)) {
     std::fputs(kUsage, stdout);
     return 0;
+  }
+  const std::vector<std::string> known = SplitString(kKnownFlags, ' ');
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) continue;
+    const std::string name = arg.substr(2, arg.find('=') - 2);
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", name.c_str());
+      return 1;
+    }
   }
   if (flags.positional().empty()) {
     std::fputs(kUsage, stderr);

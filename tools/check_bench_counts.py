@@ -7,19 +7,19 @@ The smoke grid runs on a seeded generated corpus, so every
 is a real behaviour change (better recall, a broken filter, a changed
 default) and must be acknowledged by regenerating the expectations
 file, not silently absorbed. Result counts must also agree across the
-threads/partitioning dimensions (the parity contract), so result cells
-are keyed without them: every run of a key must report the same count.
+threads dimension (the parity contract), so result cells are keyed
+without it: every run of a key must report the same count.
 
 Candidate counts (`candidates` — V_tau, what survives the signature
 filter and gets verified) are guarded too, so accidental filter
 weakening — e.g. the duplicate-posting bug class, where repeated
 signature keys double-count overlaps past the tau threshold — fails
 the smoke job even when verification still discards the extra pairs
-and `results` stays unchanged. Candidate cells additionally key on the
-partition limit: partition blocks select signatures against
-slice-local global orders, so partitioned candidate counts
-legitimately differ from monolithic ones (results may not). Across
-thread counts, candidates must agree exactly.
+and `results` stays unchanged. Candidate cells use the result keys,
+whose shard suffix (below) keeps sharded cells apart: shard-pair blocks
+select signatures against slice-local global orders, so sharded
+candidate counts legitimately differ from monolithic ones (results may
+not). Across thread counts, candidates must agree exactly.
 
 Index provenance (`index_source`) is guarded the same way when the
 expectations file carries an "index_source" section: a run expected to
@@ -31,14 +31,12 @@ Sharded runs (stats.shards > 0) key with a " shards=<n>" suffix, so an
 expectations file written from a --shards run pins both the shard
 count (a run that silently fell back to monolithic loses the suffix
 and shows up as MISSING + NEW) and the scatter-gather counts.
-Monolithic runs keep the historical suffix-free keys — existing
-expectations files are untouched.
+Monolithic runs keep suffix-free keys.
 
 Expectations file schema (sections optional):
 
   {"results": {"<alg> theta=<t> tau=<u>[ shards=<n>]": N, ...},
-   "candidates": {"<alg> theta=<t> tau=<u>[ shards=<n>] partition=<p>": N,
-                  ...},
+   "candidates": {"<alg> theta=<t> tau=<u>[ shards=<n>]": N, ...},
    "index_source": {"<alg> theta=<t> tau=<u>": "snapshot"|"rebuilt", ...}}
 
 On any mismatch the script ends with a key-level diff: every guarded
@@ -70,11 +68,6 @@ def result_key(run):
     return key
 
 
-def candidate_key(run):
-    return "{} partition={}".format(
-        result_key(run), run.get("max_partition_records", 0))
-
-
 def collect_counts(report):
     """(results, candidates, index_sources) cell maps; fails on failed
     or inconsistent runs."""
@@ -91,15 +84,14 @@ def collect_counts(report):
         if key in results and results[key] != count:
             errors.append(
                 f"INCONSISTENT {key}: {results[key]} vs {count} across "
-                f"threads/partitioning (parity violation)")
+                f"threads (parity violation)")
         results[key] = count
-        ckey = candidate_key(run)
         ccount = run["candidates"]
-        if ckey in candidates and candidates[ckey] != ccount:
+        if key in candidates and candidates[key] != ccount:
             errors.append(
-                f"INCONSISTENT candidates {ckey}: {candidates[ckey]} vs "
+                f"INCONSISTENT candidates {key}: {candidates[key]} vs "
                 f"{ccount} across threads (parity violation)")
-        candidates[ckey] = ccount
+        candidates[key] = ccount
         source = run.get("index_source", "")
         if source:
             if key in sources and sources[key] != source:

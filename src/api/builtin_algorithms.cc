@@ -42,7 +42,6 @@ class UnifiedAlgorithm final : public JoinAlgorithm {
         .method = options.method,
         .exact_min_partition = options.exact_min_partition,
         .usim = options.usim,
-        .cache_evict_threshold = context.cache_evict_threshold,
         .num_threads = context.num_threads};
     auto emit = [sink](uint32_t first, uint32_t second) {
       return sink->OnMatch(first, second);

@@ -313,7 +313,6 @@ AlgorithmContext Engine::MakeAlgorithmContext() {
   ctx.t_records = t_records_;
   ctx.msim = options_.msim;
   ctx.num_threads = options_.num_threads;
-  ctx.cache_evict_threshold = options_.cache_evict_threshold;
   ctx.stream_batch_size = options_.stream_batch_size;
   ctx.unified_context = [this]() -> JoinContext& {
     return PreparedContext();

@@ -43,7 +43,10 @@ struct EngineOptions {
   /// Worker threads for every stage (1 = serial, 0 = all hardware
   /// threads) — one policy across the unified join and all baselines.
   int num_threads = 1;
-  /// Verification gram-cache eviction threshold (entries).
+  /// Gram-cache eviction threshold (entries) for verification through
+  /// UsimComputer's Record overloads. The engine verifies prepared
+  /// records and does not read it; only the end-to-end benchmark's
+  /// replay (e2ebench/bench_e2e.cc) does.
   size_t cache_evict_threshold = 500000;
   /// Candidate pairs verified per streaming flush to a MatchSink.
   size_t stream_batch_size = 4096;
@@ -435,10 +438,6 @@ class EngineBuilder {
   }
   EngineBuilder& SetThreads(int num_threads) {
     options_.num_threads = num_threads;
-    return *this;
-  }
-  EngineBuilder& SetCacheEvictThreshold(size_t entries) {
-    options_.cache_evict_threshold = entries;
     return *this;
   }
   EngineBuilder& SetStreamBatchSize(size_t pairs) {

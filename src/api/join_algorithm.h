@@ -54,7 +54,6 @@ struct AlgorithmContext {
   MsimOptions msim;
   /// 1 = serial, 0 = all hardware threads (ResolveThreads semantics).
   int num_threads = 1;
-  size_t cache_evict_threshold = 500000;
   /// Pairs verified per streaming flush to the sink (bounds the memory a
   /// streaming run holds between sink calls).
   size_t stream_batch_size = 4096;

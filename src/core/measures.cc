@@ -12,16 +12,14 @@ namespace {
 
 /// |a ∩ b| of two ascending distinct gram-id sets; the verify stage
 /// allocates nothing per pair.
-size_t SortedIdIntersectionSize(const std::vector<uint32_t>& a,
-                                const std::vector<uint32_t>& b) {
+size_t SortedIdIntersectionSize(GramIds a, GramIds b) {
   return SortedIntersectionSize(a.data(), a.size(), b.data(), b.size());
 }
 
 // The gram-measure formulas over id sets, with the same empty-input
 // conventions as their string-set counterparts in text/qgram.cc.
 
-double JaccardOfIdSets(const std::vector<uint32_t>& a,
-                       const std::vector<uint32_t>& b) {
+double JaccardOfIdSets(GramIds a, GramIds b) {
   if (a.empty() && b.empty()) return 1.0;
   size_t inter = SortedIdIntersectionSize(a, b);
   size_t uni = a.size() + b.size() - inter;
@@ -29,8 +27,7 @@ double JaccardOfIdSets(const std::vector<uint32_t>& a,
                   : static_cast<double>(inter) / static_cast<double>(uni);
 }
 
-double CosineOfIdSets(const std::vector<uint32_t>& a,
-                      const std::vector<uint32_t>& b) {
+double CosineOfIdSets(GramIds a, GramIds b) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
   size_t inter = SortedIdIntersectionSize(a, b);
@@ -39,8 +36,7 @@ double CosineOfIdSets(const std::vector<uint32_t>& a,
                    static_cast<double>(b.size()));
 }
 
-double DiceOfIdSets(const std::vector<uint32_t>& a,
-                    const std::vector<uint32_t>& b) {
+double DiceOfIdSets(GramIds a, GramIds b) {
   if (a.empty() && b.empty()) return 1.0;
   size_t inter = SortedIdIntersectionSize(a, b);
   return 2.0 * static_cast<double>(inter) /
@@ -106,6 +102,10 @@ double MsimEvaluator::Jaccard(const Record& s, const Segment& ps,
                               const Record& t, const Segment& pt) {
   const std::vector<uint32_t>& a = GramIdsFor(s, ps);
   const std::vector<uint32_t>& b = GramIdsFor(t, pt);
+  return GramSimilarity(a, b);
+}
+
+double MsimEvaluator::GramSimilarity(GramIds a, GramIds b) const {
   switch (options_.gram_measure) {
     case GramMeasure::kCosine:
       return CosineOfIdSets(a, b);
@@ -115,6 +115,20 @@ double MsimEvaluator::Jaccard(const Record& s, const Segment& ps,
       break;
   }
   return JaccardOfIdSets(a, b);
+}
+
+void MsimEvaluator::CachedGramSets(
+    const Record& r, const std::vector<WellDefinedSegment>& segments,
+    GramSets* out) {
+  out->ids.clear();
+  out->begin.assign(1, 0);
+  for (const WellDefinedSegment& seg : segments) {
+    if (options_.measures & kMeasureJaccard) {
+      const std::vector<uint32_t>& ids = GramIdsFor(r, seg.span);
+      out->ids.insert(out->ids.end(), ids.begin(), ids.end());
+    }
+    out->begin.push_back(static_cast<uint32_t>(out->ids.size()));
+  }
 }
 
 double MsimEvaluator::Synonym(const WellDefinedSegment& ps,
@@ -148,7 +162,21 @@ double MsimEvaluator::Taxonomy(const WellDefinedSegment& ps,
 
 double MsimEvaluator::Msim(const Record& s, const WellDefinedSegment& ps,
                            const Record& t, const WellDefinedSegment& pt) {
-  double best = 0.0;
+  const bool grams = options_.measures & kMeasureJaccard;
+  return Msim(s, ps, grams ? GramIds(GramIdsFor(s, ps.span)) : GramIds(), t,
+              pt, grams ? GramIds(GramIdsFor(t, pt.span)) : GramIds());
+}
+
+double MsimEvaluator::Msim(const SegmentedRecord& s, size_t i,
+                           const SegmentedRecord& t, size_t j) const {
+  return Msim(s.record, s.segments[i], s.grams.Of(i), t.record,
+              t.segments[j], t.grams.Of(j));
+}
+
+double MsimEvaluator::Msim(const Record& s, const WellDefinedSegment& ps,
+                           GramIds s_grams, const Record& t,
+                           const WellDefinedSegment& pt,
+                           GramIds t_grams) const {
   if (options_.exact_match) {
     TokenSpan a = s.Span(ps.span.begin, ps.span.end);
     TokenSpan b = t.Span(pt.span.begin, pt.span.end);
@@ -157,8 +185,9 @@ double MsimEvaluator::Msim(const Record& s, const WellDefinedSegment& ps,
       return 1.0;
     }
   }
+  double best = 0.0;
   if (options_.measures & kMeasureJaccard) {
-    best = std::max(best, Jaccard(s, ps.span, t, pt.span));
+    best = std::max(best, GramSimilarity(s_grams, t_grams));
   }
   if (options_.measures & kMeasureSynonym) {
     best = std::max(best, Synonym(ps, pt));

@@ -2,6 +2,7 @@
 #define AUJOIN_CORE_MEASURES_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -59,13 +60,41 @@ struct MsimOptions {
   bool exact_match = true;
 };
 
+/// A segment's gram-id set: its distinct q-grams as ascending ids. The
+/// gram measures read only set sizes and intersection sizes, so any
+/// numbering works that both sides of a pair share: equal grams get
+/// equal ids, different grams different ids.
+using GramIds = std::span<const uint32_t>;
+
+/// The gram-id sets of one record's segments, flattened: segment i's
+/// set is ids[begin[i], begin[i + 1]). Empty sets throughout when the
+/// gram measure is off.
+struct GramSets {
+  std::vector<uint32_t> ids;
+  std::vector<uint32_t> begin;
+
+  GramIds Of(size_t segment) const {
+    return GramIds(ids.data() + begin[segment],
+                   ids.data() + begin[segment + 1]);
+  }
+};
+
+/// One side of a verified pair as msim, the pair graph and Algorithm 1
+/// read it: the record (for its tokens), its well-defined segments in
+/// EnumerateSegments order, and their gram-id sets.
+struct SegmentedRecord {
+  const Record& record;
+  const std::vector<WellDefinedSegment>& segments;
+  const GramSets& grams;
+};
+
 /// Evaluates per-segment-pair similarities (the msim of Eq. 4 restricted to
-/// a segment pair). Segment surface text is cut into q-grams once, the
-/// grams interned to dense uint32 ids through a per-evaluator dictionary,
-/// and the sorted id sets cached — so the hot O(|ps|·|pt|) overlap loop of
-/// a join runs a sorted-set intersection (kernels/kernels.h) over flat
-/// integer arrays instead of comparing strings. Not thread-safe; create
-/// one per thread.
+/// a segment pair). The gram measure runs a sorted-set intersection
+/// (kernels/kernels.h) over two gram-id sets. Verification of prepared
+/// records reads those sets from the gram pebbles; the Record overloads
+/// cut segment text into q-grams here instead, interning them through a
+/// per-evaluator dictionary and caching each segment's set. Not
+/// thread-safe (the cache); create one per thread.
 class MsimEvaluator {
  public:
   MsimEvaluator(const Knowledge& knowledge, const MsimOptions& options)
@@ -91,6 +120,17 @@ class MsimEvaluator {
   double Msim(const Record& s, const WellDefinedSegment& ps, const Record& t,
               const WellDefinedSegment& pt);
 
+  /// msim of segment i of `s` and segment j of `t`.
+  double Msim(const SegmentedRecord& s, size_t i, const SegmentedRecord& t,
+              size_t j) const;
+
+  /// Fills `out` with the gram-id sets of `segments` of `r` from the
+  /// cache, cutting the segments not cached yet — the Record overloads'
+  /// input to the shared verify code.
+  void CachedGramSets(const Record& r,
+                      const std::vector<WellDefinedSegment>& segments,
+                      GramSets* out);
+
   const MsimOptions& options() const { return options_; }
   const Knowledge& knowledge() const { return knowledge_; }
 
@@ -103,15 +143,22 @@ class MsimEvaluator {
     gram_dict_.clear();
   }
 
-  /// Number of cached gram sets; joins evict when this grows too large.
+  /// Number of cached gram sets. Only the Record overloads fill the
+  /// cache; a caller verifying many Records may clear it when this grows
+  /// too large.
   size_t CacheSize() const { return gram_cache_.size(); }
 
  private:
   const std::vector<uint32_t>& GramIdsFor(const Record& r, const Segment& seg);
+  /// The gram similarity of two gram-id sets.
+  double GramSimilarity(GramIds a, GramIds b) const;
+  double Msim(const Record& s, const WellDefinedSegment& ps, GramIds s_grams,
+              const Record& t, const WellDefinedSegment& pt,
+              GramIds t_grams) const;
 
   Knowledge knowledge_;
   MsimOptions options_;
-  // Keyed by (record id, begin, end) packed into 64 bits; values are
+  // Keyed by (record address, begin, end) packed into 64 bits; values are
   // ascending distinct gram ids from gram_dict_.
   std::unordered_map<uint64_t, std::vector<uint32_t>> gram_cache_;
   // Interns gram surface strings to dense ids (first-seen order; the

@@ -5,14 +5,13 @@
 
 namespace aujoin {
 
-PairGraph BuildPairGraph(const Record& s, const Record& t,
-                         MsimEvaluator* evaluator,
+PairGraph BuildPairGraph(const SegmentedRecord& s, const SegmentedRecord& t,
+                         const MsimEvaluator& evaluator,
                          const PairGraphOptions& options) {
   PairGraph g;
-  const Knowledge& knowledge = evaluator->knowledge();
-  g.s_segments = EnumerateSegments(s, knowledge);
-  g.t_segments = EnumerateSegments(t, knowledge);
-  const uint32_t measures = evaluator->options().measures;
+  g.s_segments = s.segments;
+  g.t_segments = t.segments;
+  const uint32_t measures = evaluator.options().measures;
 
   for (uint32_t i = 0; i < g.s_segments.size(); ++i) {
     const auto& ps = g.s_segments[i];
@@ -21,12 +20,12 @@ PairGraph BuildPairGraph(const Record& s, const Record& t,
       // Construction step (i): the pair must be connected by a synonym
       // rule, by two taxonomy entities, or consist of two single tokens.
       bool synonym_pair = (measures & kMeasureSynonym) &&
-                          evaluator->Synonym(ps, pt) > 0.0;
+                          evaluator.Synonym(ps, pt) > 0.0;
       bool taxonomy_pair = (measures & kMeasureTaxonomy) && ps.HasTaxonomy() &&
                            pt.HasTaxonomy();
       bool singleton_pair = ps.span.SingleToken() && pt.span.SingleToken();
       if (!synonym_pair && !taxonomy_pair && !singleton_pair) continue;
-      double w = evaluator->Msim(s, ps, t, pt);
+      double w = evaluator.Msim(s, i, t, j);
       if (w < options.min_weight) continue;
       g.vertices.push_back(PairVertex{i, j, w});
     }
@@ -58,6 +57,22 @@ PairGraph BuildPairGraph(const Record& s, const Record& t,
     }
   }
   return g;
+}
+
+PairGraph BuildPairGraph(const Record& s, const Record& t,
+                         MsimEvaluator* evaluator,
+                         const PairGraphOptions& options) {
+  const Knowledge& knowledge = evaluator->knowledge();
+  const std::vector<WellDefinedSegment> s_segments =
+      EnumerateSegments(s, knowledge);
+  const std::vector<WellDefinedSegment> t_segments =
+      EnumerateSegments(t, knowledge);
+  GramSets s_grams, t_grams;
+  evaluator->CachedGramSets(s, s_segments, &s_grams);
+  evaluator->CachedGramSets(t, t_segments, &t_grams);
+  return BuildPairGraph(SegmentedRecord{s, s_segments, s_grams},
+                        SegmentedRecord{t, t_segments, t_grams}, *evaluator,
+                        options);
 }
 
 }  // namespace aujoin

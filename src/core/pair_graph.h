@@ -80,7 +80,14 @@ struct PairGraphOptions {
 /// Builds the conflict graph of the paper's Section 2.3 construction:
 /// a vertex for every segment pair connected by (a) a synonym rule,
 /// (b) two taxonomy entities, or (c) both being single tokens; weight
-/// msim; edges between conflicting (token-sharing) vertices.
+/// msim; edges between conflicting (token-sharing) vertices. The graph
+/// copies both sides' segments.
+PairGraph BuildPairGraph(const SegmentedRecord& s, const SegmentedRecord& t,
+                         const MsimEvaluator& evaluator,
+                         const PairGraphOptions& options = {});
+
+/// The same graph from two raw records: enumerates their segments and
+/// takes gram-id sets from the evaluator's cache.
 PairGraph BuildPairGraph(const Record& s, const Record& t,
                          MsimEvaluator* evaluator,
                          const PairGraphOptions& options = {});

@@ -88,11 +88,48 @@ double BoundFromOneSide(const std::vector<double>& best_by_size,
 
 }  // namespace
 
-double UsimComputer::SimOfPartitions(
-    const Record& s, const Record& t,
-    const std::vector<WellDefinedSegment>& s_segments,
-    const std::vector<WellDefinedSegment>& t_segments,
-    const std::vector<uint32_t>& ps, const std::vector<uint32_t>& pt) {
+// A segment's gram pebbles are its distinct grams, so sorting each
+// segment's run gives its ascending set.
+void GramSetsFromPebbles(const RecordPebbles& rp, GramSets* out) {
+  const size_t n = rp.segments.size();
+  std::vector<uint32_t>& begin = out->begin;
+  begin.assign(n + 1, 0);
+  for (const Pebble& p : rp.pebbles) {
+    if (PebbleKeyType(p.key) == PebbleType::kGram) ++begin[p.segment + 1];
+  }
+  for (size_t i = 0; i < n; ++i) begin[i + 1] += begin[i];
+  out->ids.resize(begin[n]);
+  // Scatter with begin[i] as segment i's cursor. It stops at the old
+  // begin[i + 1], so shifting the offsets right by one restores them.
+  for (const Pebble& p : rp.pebbles) {
+    if (PebbleKeyType(p.key) == PebbleType::kGram) {
+      out->ids[begin[p.segment]++] = static_cast<uint32_t>(PebbleKeyId(p.key));
+    }
+  }
+  for (size_t i = n; i > 0; --i) begin[i] = begin[i - 1];
+  begin[0] = 0;
+  for (size_t i = 0; i < n; ++i) {
+    std::sort(out->ids.begin() + begin[i], out->ids.begin() + begin[i + 1]);
+  }
+}
+
+SegmentedRecord UsimComputer::Segmented(const Record& r, Side* side) {
+  side->segments = EnumerateSegments(r, evaluator_.knowledge());
+  evaluator_.CachedGramSets(r, side->segments, &side->grams);
+  return SegmentedRecord{r, side->segments, side->grams};
+}
+
+SegmentedRecord UsimComputer::Segmented(const Record& r,
+                                        const PreparedRecord& pr,
+                                        Side* side) {
+  GramSetsFromPebbles(pr.pebbles, &side->grams);
+  return SegmentedRecord{r, pr.pebbles.segments, side->grams};
+}
+
+double UsimComputer::SimOfPartitions(const SegmentedRecord& s,
+                                     const SegmentedRecord& t,
+                                     const std::vector<uint32_t>& ps,
+                                     const std::vector<uint32_t>& pt) {
   if (ps.empty() || pt.empty()) return 0.0;
   // The O(|ps|·|pt|) msim matrix lands in the computer's reused flat
   // scratch (row-major) and feeds the flat Hungarian overload — no
@@ -102,8 +139,7 @@ double UsimComputer::SimOfPartitions(
   }
   for (size_t i = 0; i < ps.size(); ++i) {
     for (size_t j = 0; j < pt.size(); ++j) {
-      w_scratch_[i * pt.size() + j] =
-          evaluator_.Msim(s, s_segments[ps[i]], t, t_segments[pt[j]]);
+      w_scratch_[i * pt.size() + j] = evaluator_.Msim(s, ps[i], t, pt[j]);
     }
   }
   double matching =
@@ -111,8 +147,8 @@ double UsimComputer::SimOfPartitions(
   return matching / static_cast<double>(std::max(ps.size(), pt.size()));
 }
 
-double UsimComputer::GetSim(const Record& s, const Record& t,
-                            const PairGraph& g,
+double UsimComputer::GetSim(const SegmentedRecord& s,
+                            const SegmentedRecord& t, const PairGraph& g,
                             const std::vector<uint32_t>& mis) {
   std::vector<uint32_t> s_selected, t_selected;
   for (uint32_t v : mis) {
@@ -120,40 +156,72 @@ double UsimComputer::GetSim(const Record& s, const Record& t,
     t_selected.push_back(g.vertices[v].t_segment);
   }
   std::vector<uint32_t> ps =
-      InducedPartition(g.s_segments, s.num_tokens(), s_selected);
+      InducedPartition(s.segments, s.record.num_tokens(), s_selected);
   std::vector<uint32_t> pt =
-      InducedPartition(g.t_segments, t.num_tokens(), t_selected);
-  return SimOfPartitions(s, t, g.s_segments, g.t_segments, ps, pt);
+      InducedPartition(t.segments, t.record.num_tokens(), t_selected);
+  return SimOfPartitions(s, t, ps, pt);
 }
 
 double UsimComputer::UpperBound(const Record& s, const Record& t) {
-  if (s.tokens.empty() || t.tokens.empty()) return 0.0;
-  const Knowledge& knowledge = evaluator_.knowledge();
-  std::vector<WellDefinedSegment> s_segments = EnumerateSegments(s, knowledge);
-  std::vector<WellDefinedSegment> t_segments = EnumerateSegments(t, knowledge);
+  const SegmentedRecord a = Segmented(s, &s_side_);
+  const SegmentedRecord b = Segmented(t, &t_side_);
+  return UpperBound(a, b);
+}
+
+double UsimComputer::UpperBound(const Record& s, const PreparedRecord& ps,
+                                const Record& t, const PreparedRecord& pt) {
+  return UpperBound(Segmented(s, ps, &s_side_), Segmented(t, pt, &t_side_));
+}
+
+double UsimComputer::UpperBound(const SegmentedRecord& s,
+                                const SegmentedRecord& t) {
+  if (s.record.tokens.empty() || t.record.tokens.empty()) return 0.0;
+  const std::vector<WellDefinedSegment>& s_segments = s.segments;
+  const std::vector<WellDefinedSegment>& t_segments = t.segments;
   std::vector<double> a(s_segments.size(), 0.0);
   std::vector<double> b(t_segments.size(), 0.0);
   for (size_t i = 0; i < s_segments.size(); ++i) {
     for (size_t j = 0; j < t_segments.size(); ++j) {
-      const double w = evaluator_.Msim(s, s_segments[i], t, t_segments[j]);
+      const double w = evaluator_.Msim(s, i, t, j);
       a[i] = std::max(a[i], w);
       b[j] = std::max(b[j], w);
     }
   }
-  std::vector<double> f_s = BestSumBySize(s_segments, s.num_tokens(), a);
-  std::vector<double> f_t = BestSumBySize(t_segments, t.num_tokens(), b);
+  std::vector<double> f_s =
+      BestSumBySize(s_segments, s.record.num_tokens(), a);
+  std::vector<double> f_t =
+      BestSumBySize(t_segments, t.record.num_tokens(), b);
   return std::min(BoundFromOneSide(f_s, MinPartitionSize(f_t)),
                   BoundFromOneSide(f_t, MinPartitionSize(f_s)));
 }
 
 double UsimComputer::Approx(const Record& s, const Record& t,
                             double threshold) {
-  if (s.tokens.empty() || t.tokens.empty()) return 0.0;
+  const SegmentedRecord a = Segmented(s, &s_side_);
+  const SegmentedRecord b = Segmented(t, &t_side_);
+  return Approx(a, b, threshold);
+}
+
+double UsimComputer::Approx(const Record& s, const PreparedRecord& ps,
+                            const Record& t, const PreparedRecord& pt,
+                            double threshold) {
+  return Approx(Segmented(s, ps, &s_side_), Segmented(t, pt, &t_side_),
+                threshold);
+}
+
+double UsimComputer::Approx(const SegmentedRecord& s, const Record& t,
+                            const PreparedRecord& pt, double threshold) {
+  return Approx(s, Segmented(t, pt, &t_side_), threshold);
+}
+
+double UsimComputer::Approx(const SegmentedRecord& s,
+                            const SegmentedRecord& t, double threshold) {
+  if (s.record.tokens.empty() || t.record.tokens.empty()) return 0.0;
   if (threshold <= 1.0) {
     const double bound = UpperBound(s, t);
     if (bound < threshold - kBoundSlack) return bound;
   }
-  PairGraph g = BuildPairGraph(s, t, &evaluator_, options_.graph);
+  PairGraph g = BuildPairGraph(s, t, evaluator_, options_.graph);
   std::vector<uint32_t> a = SquareImp(g, options_.squareimp);
   double best = GetSim(s, t, g, a);
   if (!options_.enable_improvement || best >= threshold) {
@@ -299,15 +367,14 @@ UsimComputer::ExactResult UsimComputer::Exact(const Record& s, const Record& t,
                                               const ExactOptions& limits) {
   ExactResult res;
   if (s.tokens.empty() || t.tokens.empty()) return res;
-  const Knowledge& knowledge = evaluator_.knowledge();
-  std::vector<WellDefinedSegment> s_segments = EnumerateSegments(s, knowledge);
-  std::vector<WellDefinedSegment> t_segments = EnumerateSegments(t, knowledge);
+  const SegmentedRecord a = Segmented(s, &s_side_);
+  const SegmentedRecord b = Segmented(t, &t_side_);
 
   bool trunc_s = false, trunc_t = false;
-  auto ps_all = EnumeratePartitions(s_segments, s.num_tokens(),
+  auto ps_all = EnumeratePartitions(a.segments, s.num_tokens(),
                                     limits.max_partitions_per_string,
                                     &trunc_s);
-  auto pt_all = EnumeratePartitions(t_segments, t.num_tokens(),
+  auto pt_all = EnumeratePartitions(b.segments, t.num_tokens(),
                                     limits.max_partitions_per_string,
                                     &trunc_t);
   res.exact = !(trunc_s || trunc_t);
@@ -319,7 +386,7 @@ UsimComputer::ExactResult UsimComputer::Exact(const Record& s, const Record& t,
         res.exact = false;
         return res;
       }
-      double sim = SimOfPartitions(s, t, s_segments, t_segments, ps, pt);
+      double sim = SimOfPartitions(a, b, ps, pt);
       res.value = std::max(res.value, sim);
     }
   }

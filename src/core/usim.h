@@ -6,6 +6,7 @@
 
 #include "core/measures.h"
 #include "core/pair_graph.h"
+#include "core/prepared_record.h"
 #include "core/squareimp.h"
 
 namespace aujoin {
@@ -41,7 +42,15 @@ struct ExactOptions {
 /// `Exact` enumerates all well-defined partition pairs (worst-case
 /// exponential; NP-hard in general, Theorem 1).
 ///
-/// Not thread-safe (shares an MsimEvaluator cache); use one per thread.
+/// `Approx` and `UpperBound` come in two forms that run the same code.
+/// The prepared form reads what prepare already derived: each side's
+/// segments from its PreparedRecord, and each segment's gram-id set from
+/// its gram pebbles. The Record form derives the same inputs itself:
+/// EnumerateSegments, plus q-grams cut and cached by the evaluator. Both
+/// return the same value, bit for bit.
+///
+/// Not thread-safe (reused scratch and the evaluator's cache); use one
+/// per thread.
 class UsimComputer {
  public:
   explicit UsimComputer(const Knowledge& knowledge, UsimOptions options = {})
@@ -66,6 +75,19 @@ class UsimComputer {
   /// stops as soon as its value reaches theta.
   double Approx(const Record& s, const Record& t, double threshold = 2.0);
 
+  /// Approx on two prepared records: `ps` and `pt` were prepared from
+  /// `s` and `t`, and their gram pebbles share one gram numbering (one
+  /// PreparedIndex, or a query's overlay of its dictionary).
+  double Approx(const Record& s, const PreparedRecord& ps, const Record& t,
+                const PreparedRecord& pt, double threshold = 2.0);
+
+  /// The prepared Approx with `s` segmented by the caller, for one
+  /// prepared record verified against many (a search query against its
+  /// candidates): its gram-id sets come from GramSetsFromPebbles once
+  /// rather than once per pair.
+  double Approx(const SegmentedRecord& s, const Record& t,
+                const PreparedRecord& pt, double threshold = 2.0);
+
   /// An upper bound on every value Approx or Exact can return for (s, t),
   /// computed without the pair graph.
   ///
@@ -85,6 +107,10 @@ class UsimComputer {
   /// holds from T's side.
   double UpperBound(const Record& s, const Record& t);
 
+  /// UpperBound on two prepared records, as for the prepared Approx.
+  double UpperBound(const Record& s, const PreparedRecord& ps,
+                    const Record& t, const PreparedRecord& pt);
+
   struct ExactResult {
     double value = 0.0;
     /// False when a partition/pair cap was hit (value is then a lower
@@ -96,30 +122,49 @@ class UsimComputer {
   ExactResult Exact(const Record& s, const Record& t,
                     const ExactOptions& limits = {});
 
-  /// SIM(PS, PT) of Eq. (6) for the partitions induced by an independent
-  /// set `mis` of `g`: segments of the selected vertices plus singleton
-  /// segments for uncovered tokens; scored by Hungarian matching over msim
-  /// and normalised by max(|PS|, |PT|). Exposed for tests and benches.
-  double GetSim(const Record& s, const Record& t, const PairGraph& g,
-                const std::vector<uint32_t>& mis);
-
   MsimEvaluator* evaluator() { return &evaluator_; }
   const UsimOptions& options() const { return options_; }
 
  private:
-  double SimOfPartitions(const Record& s, const Record& t,
-                         const std::vector<WellDefinedSegment>& s_segments,
-                         const std::vector<WellDefinedSegment>& t_segments,
+  /// One side's reused inputs: the Record form enumerates segments into
+  /// `segments`; both forms fill `grams`.
+  struct Side {
+    std::vector<WellDefinedSegment> segments;
+    GramSets grams;
+  };
+  SegmentedRecord Segmented(const Record& r, Side* side);
+  SegmentedRecord Segmented(const Record& r, const PreparedRecord& pr,
+                            Side* side);
+
+  /// The code both forms run.
+  double Approx(const SegmentedRecord& s, const SegmentedRecord& t,
+                double threshold);
+  double UpperBound(const SegmentedRecord& s, const SegmentedRecord& t);
+
+  /// SIM(PS, PT) of Eq. (6) for the partitions induced by an independent
+  /// set `mis` of `g`: segments of the selected vertices plus singleton
+  /// segments for uncovered tokens; scored by Hungarian matching over
+  /// msim and normalised by max(|PS|, |PT|).
+  double GetSim(const SegmentedRecord& s, const SegmentedRecord& t,
+                const PairGraph& g, const std::vector<uint32_t>& mis);
+  double SimOfPartitions(const SegmentedRecord& s, const SegmentedRecord& t,
                          const std::vector<uint32_t>& ps,
                          const std::vector<uint32_t>& pt);
 
   UsimOptions options_;
   MsimEvaluator evaluator_;
+  Side s_side_;
+  Side t_side_;
   /// Reused flat row-major msim matrix for SimOfPartitions — one
   /// grow-only buffer per computer (== per verify worker) instead of a
   /// fresh vector-of-vectors per candidate pair.
   std::vector<double> w_scratch_;
 };
+
+/// Fills `out` with each segment's gram-id set of a prepared record, read
+/// from its gram pebbles: Pebble::segment names the segment and the
+/// key's id half is the gram's id.
+void GramSetsFromPebbles(const RecordPebbles& rp, GramSets* out);
 
 /// Enumerates well-defined partitions (Definition 2) of a token sequence of
 /// length `num_tokens` as lists of indexes into `segments` (which must be

@@ -68,12 +68,28 @@ void GlobalOrder::ImportRankOrder(const RankedKey* rows, size_t count) {
 }
 
 void GlobalOrder::SortPebbles(RecordPebbles* rp) const {
-  std::stable_sort(rp->pebbles.begin(), rp->pebbles.end(),
-                   [this](const Pebble& a, const Pebble& b) {
-                     uint64_t ra = Rank(a.key), rb = Rank(b.key);
-                     if (ra != rb) return ra < rb;
-                     return a.key < b.key;
-                   });
+  // Look each pebble's rank up once, then sort (rank, key, position)
+  // triples: the position tie-break makes std::sort reproduce the
+  // stable sort by (rank, key).
+  struct Ranked {
+    uint64_t rank;
+    uint64_t key;
+    uint32_t position;
+  };
+  std::vector<Pebble>& pebbles = rp->pebbles;
+  std::vector<Ranked> order(pebbles.size());
+  for (uint32_t i = 0; i < pebbles.size(); ++i) {
+    order[i] = Ranked{Rank(pebbles[i].key), pebbles[i].key, i};
+  }
+  std::sort(order.begin(), order.end(), [](const Ranked& a, const Ranked& b) {
+    if (a.rank != b.rank) return a.rank < b.rank;
+    if (a.key != b.key) return a.key < b.key;
+    return a.position < b.position;
+  });
+  std::vector<Pebble> sorted;
+  sorted.reserve(pebbles.size());
+  for (const Ranked& r : order) sorted.push_back(pebbles[r.position]);
+  pebbles = std::move(sorted);
 }
 
 }  // namespace aujoin

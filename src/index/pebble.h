@@ -8,51 +8,10 @@
 
 #include "core/knowledge.h"
 #include "core/measures.h"
+#include "core/prepared_record.h"
 #include "core/record.h"
-#include "core/segment.h"
 
 namespace aujoin {
-
-/// The kind of similarity a pebble represents (Section 3.1, Table 2),
-/// plus the exact-span extension (MsimOptions::exact_match).
-enum class PebbleType : uint8_t {
-  kGram = 0,      // a q-gram of the segment (Jaccard)
-  kSynonym = 1,   // the lhs of an applicable synonym rule
-  kTaxonomy = 2,  // a taxonomy node: the matched entity or an ancestor
-  kExact = 3,     // the hash of the segment's token span (equality)
-};
-
-/// Packs (type, id) into one 64-bit key; equal keys mean two strings'
-/// pebbles can witness the same similarity contribution:
-///  - grams collide when the gram text is identical,
-///  - synonym pebbles collide when generated by the same rule (a segment
-///    matching the lhs and one matching the rhs both emit the rule's lhs),
-///  - taxonomy pebbles collide on shared ancestors (their count equals the
-///    LCA depth).
-inline uint64_t MakePebbleKey(PebbleType type, uint64_t id) {
-  return (static_cast<uint64_t>(type) << 56) | (id & 0x00FFFFFFFFFFFFFFULL);
-}
-
-inline PebbleType PebbleKeyType(uint64_t key) {
-  return static_cast<PebbleType>(key >> 56);
-}
-
-/// One pebble of one record: key + weight + provenance (which segment and
-/// measure generated it). Weights follow Section 3.1:
-/// gram: 1/|G(P,q)|; synonym: C(R); taxonomy: 1/depth(matched entity).
-struct Pebble {
-  uint64_t key = 0;
-  double weight = 0.0;
-  uint32_t segment = 0;  // index into RecordPebbles::segments
-  uint8_t measure = 0;   // the generating MeasureMask bit
-};
-
-/// All pebbles of one record plus the segment list they reference.
-/// `pebbles` is unsorted until GlobalOrder::SortPebbles is applied.
-struct RecordPebbles {
-  std::vector<WellDefinedSegment> segments;
-  std::vector<Pebble> pebbles;
-};
 
 /// Generates the pebbles of records. Gram texts are interned in a
 /// dedicated gram dictionary (a Vocabulary) shared across both join

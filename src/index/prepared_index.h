@@ -30,13 +30,6 @@ namespace aujoin {
 
 class Env;
 
-/// A record with its pebbles sorted by the global order, ready for
-/// signature selection.
-struct PreparedRecord {
-  RecordPebbles pebbles;
-  size_t num_tokens = 0;
-};
-
 /// Build-once, read-many prepared state for one pair of collections
 /// (pass `t == nullptr` for a self-join): both sides' pebbles, the
 /// shared gram dictionary and the global frequency order, plus a

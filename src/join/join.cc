@@ -185,9 +185,8 @@ JoinStats UnifiedJoin(const JoinContext& context, const JoinOptions& options,
 
   // Verify in sorted batches: each batch's survivors are emitted before
   // the next batch starts, so the emission order is globally sorted.
-  // Per-worker computers (and their gram caches) persist across
-  // batches, so streaming costs no cache warmth; MsimEvaluator is not
-  // thread-safe, hence one computer per worker.
+  // Each worker reuses one computer (its scratch is not thread-safe),
+  // which reads segments and gram ids from the prepared records.
   std::sort(filtered.candidates.begin(), filtered.candidates.end());
   const std::vector<std::pair<uint32_t, uint32_t>>& candidates =
       filtered.candidates;
@@ -196,6 +195,8 @@ JoinStats UnifiedJoin(const JoinContext& context, const JoinOptions& options,
   usim_options.msim = context.msim_options();
   const auto& s_records = context.s_records();
   const auto& t_records = context.t_records();
+  const auto& s_prepared = context.s_prepared();
+  const auto& t_prepared = context.t_prepared();
   const int workers = ResolveThreads(options.num_threads);
   std::vector<std::unique_ptr<UsimComputer>> computers(workers);
   for (auto& computer : computers) {
@@ -215,14 +216,11 @@ JoinStats UnifiedJoin(const JoinContext& context, const JoinOptions& options,
           UsimComputer& computer = *computers[worker];
           for (size_t c = lo; c < hi; ++c) {
             const auto& [si, ti] = candidates[begin + c];
-            if (computer.evaluator()->CacheSize() >
-                options.cache_evict_threshold) {
-              computer.evaluator()->ClearCache();
-            }
             // Verification only needs the predicate, so Algorithm 1 may
             // stop as soon as theta is reached.
-            double sim = computer.Approx(s_records[si], t_records[ti],
-                                         options.theta);
+            double sim =
+                computer.Approx(s_records[si], s_prepared[si], t_records[ti],
+                                t_prepared[ti], options.theta);
             if (sim >= options.theta) {
               worker_pairs[worker].emplace_back(si, ti);
             }

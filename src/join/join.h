@@ -25,8 +25,6 @@ struct JoinOptions {
   /// Verification settings (msim sub-options are overridden by the
   /// context's so pebbles and verification agree on q / measures).
   UsimOptions usim;
-  /// Verification gram-cache eviction threshold (entries).
-  size_t cache_evict_threshold = 500000;
   /// Worker threads for signature selection, candidate generation and
   /// verification. 1 = serial; 0 = all hardware threads.
   int num_threads = 1;

@@ -69,7 +69,6 @@ void RunBlock(const AlgorithmFactory& factory,
   ctx.knowledge = base_context.knowledge;
   ctx.msim = base_context.msim;
   ctx.num_threads = 1;
-  ctx.cache_evict_threshold = base_context.cache_evict_threshold;
   ctx.stream_batch_size = base_context.stream_batch_size;
 
   std::vector<Record> local_s, local_t;

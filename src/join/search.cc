@@ -85,13 +85,20 @@ std::vector<Match> UnifiedSearcher::Probe(const Record& query,
   if (stats != nullptr) stats->candidates += candidates.size();
 
   // Per-query scratch state only from here on: one UsimComputer (whose
-  // gram cache is not thread-safe).
+  // scratch is not thread-safe) and the query's gram-id sets, read once
+  // from its pebbles (whose overlay ids keep unseen grams distinct).
   UsimOptions usim_options;
   usim_options.msim = msim_;
   UsimComputer computer(knowledge_, usim_options);
+  GramSets query_grams;
+  GramSetsFromPebbles(rp, &query_grams);
+  const SegmentedRecord segmented{query, rp.segments, query_grams};
   const std::vector<Record>& collection = index_->t_records();
+  const std::vector<PreparedRecord>& collection_prepared =
+      index_->t_prepared();
   for (uint32_t id : candidates) {
-    double sim = computer.Approx(query, collection[id]);
+    double sim = computer.Approx(segmented, collection[id],
+                                 collection_prepared[id]);
     if (sim >= options.theta) matches.push_back(Match{GlobalId(id), sim});
   }
   return matches;

@@ -32,7 +32,8 @@ Status PosixError(const std::string& context) {
 
 class PosixWritableFile : public WritableFile {
  public:
-  PosixWritableFile(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
+  PosixWritableFile(int fd, std::string path)
+      : fd_(fd), path_(std::move(path)) {}
 
   ~PosixWritableFile() override {
     if (fd_ >= 0) ::close(fd_);

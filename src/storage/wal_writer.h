@@ -41,10 +41,9 @@ class WalWriter {
   /// is untouched), so steady-state appends stop paying per-fsync
   /// block-allocation metadata; Reset re-reserves the same amount. Best
   /// effort on filesystems without support.
-  static Result<std::unique_ptr<WalWriter>> Open(Env* env,
-                                                 const std::string& path,
-                                                 bool truncate,
-                                                 uint64_t preallocate_bytes = 0);
+  static Result<std::unique_ptr<WalWriter>> Open(
+      Env* env, const std::string& path, bool truncate,
+      uint64_t preallocate_bytes = 0);
 
   /// Appends one record, fragmenting across blocks as needed. Buffered
   /// by the Env file: not durable until Sync returns OK.

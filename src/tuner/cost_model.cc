@@ -60,7 +60,8 @@ CostModel CalibrateCostModel(const JoinContext& context,
   WallTimer timer;
   for (const auto& [si, ti] : pairs) {
     // Mirror the join's early-exit verification so c_v matches reality.
-    computer.Approx(context.s_records()[si], context.t_records()[ti],
+    computer.Approx(context.s_records()[si], context.s_prepared()[si],
+                    context.t_records()[ti], context.t_prepared()[ti],
                     options.theta);
   }
   double elapsed = timer.Seconds();

@@ -1,6 +1,7 @@
 #ifndef AUJOIN_UTIL_FLAGS_H_
 #define AUJOIN_UTIL_FLAGS_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -9,7 +10,10 @@ namespace aujoin {
 
 /// Minimal `--key=value` / `--flag` command-line parser for the benchmark
 /// harnesses and examples. Unknown keys are kept and queryable so every
-/// binary can expose its own knobs without a registry.
+/// binary can expose its own knobs without a registry. Integer and
+/// number values, and each item of a list, must parse whole
+/// (std::from_chars): a malformed one such as `abc` or `4x` exits 1 with
+/// an error naming the flag.
 class Flags {
  public:
   /// Parses argv; arguments not starting with "--" are collected as

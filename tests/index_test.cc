@@ -14,6 +14,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "api/engine.h"
@@ -21,6 +22,7 @@
 #include "datagen/synonym_gen.h"
 #include "datagen/taxonomy_gen.h"
 #include "index/csr_index.h"
+#include "index/pebble.h"
 #include "index/prepared_index.h"
 #include "join/join.h"
 #include "join/search.h"
@@ -294,6 +296,36 @@ TEST_F(PreparedIndexTest, QueryPebblesMatchBuildTimePebbles) {
     for (size_t p = 0; p < fresh.pebbles.size(); ++p) {
       EXPECT_EQ(fresh.pebbles[p].key, built.pebbles[p].key);
       EXPECT_EQ(fresh.pebbles[p].weight, built.pebbles[p].weight);
+    }
+  }
+}
+
+// SortPebbles looks each rank up once and sorts (rank, key, position)
+// triples; every built record must come out as a stable sort by
+// (rank, key) of its generation order would leave it.
+TEST_F(PreparedIndexTest, SortPebblesIsTheStableSortByRankThenKey) {
+  auto index = PreparedIndex::Build(knowledge_, MsimOptions{.q = 2},
+                                    corpus_.records, nullptr);
+  const GlobalOrder& order = index->global_order();
+  PebbleGenerator generator(knowledge_, MsimOptions{.q = 2});
+  for (size_t i = 0; i < corpus_.records.size(); ++i) {
+    std::unordered_map<std::string, uint64_t> overlay;
+    RecordPebbles expected =
+        generator.Generate(corpus_.records[i], index->gram_dict(), &overlay);
+    std::stable_sort(expected.pebbles.begin(), expected.pebbles.end(),
+                     [&order](const Pebble& a, const Pebble& b) {
+                       const uint64_t ra = order.Rank(a.key);
+                       const uint64_t rb = order.Rank(b.key);
+                       if (ra != rb) return ra < rb;
+                       return a.key < b.key;
+                     });
+    const RecordPebbles& built = index->s_prepared()[i].pebbles;
+    ASSERT_EQ(expected.pebbles.size(), built.pebbles.size()) << "record " << i;
+    for (size_t p = 0; p < built.pebbles.size(); ++p) {
+      EXPECT_EQ(expected.pebbles[p].key, built.pebbles[p].key);
+      EXPECT_EQ(expected.pebbles[p].weight, built.pebbles[p].weight);
+      EXPECT_EQ(expected.pebbles[p].segment, built.pebbles[p].segment);
+      EXPECT_EQ(expected.pebbles[p].measure, built.pebbles[p].measure);
     }
   }
 }

@@ -2,6 +2,7 @@
 // the signature layer and the join together on randomised inputs.
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -297,6 +298,154 @@ TEST_P(UpperBoundGeneratedTest, SoundOnTruthAndRandomPairs) {
 
 INSTANTIATE_TEST_SUITE_P(
     Worlds, UpperBoundGeneratedTest,
+    ::testing::Combine(::testing::Values(std::string("med"),
+                                         std::string("wiki")),
+                       ::testing::Values(uint64_t{1}, uint64_t{2})));
+
+// The prepared form of UpperBound and Approx reads each side's segments
+// and gram ids from a PreparedIndex; the Record form derives both itself.
+// They agree bit for bit on every filter candidate of generated worlds,
+// and on search queries holding grams the index never saw, whose overlay
+// ids stay distinct from each other and from the dictionary's. The
+// queries are also verified as search does, segmented once.
+class PreparedVerifyGeneratedTest
+    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>> {};
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// The sorted gram keys of the single-token segment at `position`.
+std::vector<uint64_t> TokenGramKeys(const RecordPebbles& rp,
+                                    uint32_t position) {
+  std::vector<uint64_t> keys;
+  for (const Pebble& p : rp.pebbles) {
+    const Segment& span = rp.segments[p.segment].span;
+    if (PebbleKeyType(p.key) == PebbleType::kGram && span.SingleToken() &&
+        span.begin == position) {
+      keys.push_back(p.key);
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+TEST_P(PreparedVerifyGeneratedTest, EqualsRecordFormBitForBit) {
+  const auto& [profile_name, seed] = GetParam();
+  const bool wiki = profile_name == "wiki";
+  Vocabulary vocab;
+  Taxonomy taxonomy = GenerateTaxonomy(
+      {.num_nodes = wiki ? 400u : 200u, .seed = seed}, &vocab);
+  RuleSet rules = GenerateSynonyms(
+      {.num_rules = wiki ? 150u : 250u, .seed = seed + 1}, taxonomy, &vocab);
+  Knowledge knowledge{&vocab, &rules, &taxonomy};
+  CorpusGenerator gen(&vocab, &taxonomy, &rules);
+  CorpusProfile profile =
+      wiki ? CorpusProfile::Wiki(30) : CorpusProfile::Med(30);
+  profile.seed += seed;
+  const std::vector<Record> records =
+      gen.Generate(profile, {.num_pairs = 10, .seed = seed + 2}).records;
+
+  // Queries: indexed strings plus three tokens the index never saw, the
+  // first and last spelled alike.
+  std::vector<Record> queries;
+  for (uint32_t i = 0; i < 8; ++i) {
+    const Record& base = records[(i * 7) % records.size()];
+    queries.push_back(
+        MakeRecord(i, base.text + " xqzjv vjzqx xqzjv", &vocab));
+  }
+
+  struct Config {
+    int q;
+    uint32_t measures;
+    GramMeasure gram;
+  };
+  const Config configs[] = {
+      {2, kMeasureJaccard, GramMeasure::kJaccard},
+      {3, kMeasureAll, GramMeasure::kJaccard},
+      {3, kMeasureJaccard, GramMeasure::kCosine},
+      {2, kMeasureAll, GramMeasure::kCosine},
+      {2, kMeasureAll, GramMeasure::kDice},
+      {3, kMeasureJaccard, GramMeasure::kDice},
+  };
+  for (const Config& config : configs) {
+    UsimOptions options;
+    options.msim.q = config.q;
+    options.msim.measures = config.measures;
+    options.msim.gram_measure = config.gram;
+    const std::string where =
+        profile_name + " seed=" + std::to_string(seed) +
+        " q=" + std::to_string(config.q) + " " +
+        MeasuresToString(config.measures) + " gram=" +
+        std::to_string(static_cast<int>(config.gram));
+    SCOPED_TRACE(where);
+    JoinContext context(knowledge, options.msim);
+    context.Prepare(records, nullptr);
+    const std::vector<PreparedRecord>& prepared = context.s_prepared();
+    UsimComputer prepared_form(knowledge, options);
+    UsimComputer record_form(knowledge, options);
+    size_t matched = 0;
+    size_t below = 0;
+    auto expect_equal = [&](const Record& s, const PreparedRecord& ps,
+                            const Record& t, const PreparedRecord& pt) {
+      SCOPED_TRACE("s=\"" + s.text + "\" t=\"" + t.text + "\"");
+      EXPECT_EQ(Bits(prepared_form.UpperBound(s, ps, t, pt)),
+                Bits(record_form.UpperBound(s, t)));
+      EXPECT_EQ(Bits(prepared_form.Approx(s, ps, t, pt)),
+                Bits(record_form.Approx(s, t)));
+      const double at_theta = prepared_form.Approx(s, ps, t, pt, 0.8);
+      EXPECT_EQ(Bits(at_theta), Bits(record_form.Approx(s, t, 0.8)));
+      ++(at_theta >= 0.8 ? matched : below);
+    };
+
+    SignatureOptions sig;
+    sig.theta = 0.8;
+    sig.tau = 2;
+    const JoinContext::FilterOutput filtered = context.RunFilter(sig);
+    ASSERT_FALSE(filtered.candidates.empty());
+    for (const auto& [a, b] : filtered.candidates) {
+      expect_equal(records[a], prepared[a], records[b], prepared[b]);
+    }
+
+    const uint64_t dictionary = context.index().gram_dict().size();
+    for (const Record& query : queries) {
+      const PreparedRecord pq{context.index().GenerateQueryPebbles(query),
+                              query.num_tokens()};
+      // The unseen tokens' grams carry overlay ids past the dictionary:
+      // alike for the two spellings alike, distinct otherwise.
+      const uint32_t last = static_cast<uint32_t>(query.num_tokens()) - 1;
+      const std::vector<uint64_t> first = TokenGramKeys(pq.pebbles, last - 2);
+      const std::vector<uint64_t> middle =
+          TokenGramKeys(pq.pebbles, last - 1);
+      ASSERT_FALSE(first.empty());
+      EXPECT_EQ(first, TokenGramKeys(pq.pebbles, last));
+      EXPECT_TRUE(std::adjacent_find(first.begin(), first.end()) ==
+                  first.end());
+      size_t unseen = 0;
+      for (uint64_t key : first) {
+        unseen += PebbleKeyId(key) >= dictionary;
+        EXPECT_FALSE(std::binary_search(middle.begin(), middle.end(), key));
+      }
+      EXPECT_GT(unseen, 0u);
+      // Search's form: the query segmented once for all its candidates.
+      GramSets query_grams;
+      GramSetsFromPebbles(pq.pebbles, &query_grams);
+      const SegmentedRecord segmented{query, pq.pebbles.segments,
+                                      query_grams};
+      for (uint32_t k = 0; k < 6; ++k) {
+        const uint32_t id = (query.id * 7 + k * 11) % records.size();
+        expect_equal(query, pq, records[id], prepared[id]);
+        EXPECT_EQ(
+            Bits(prepared_form.Approx(segmented, records[id], prepared[id])),
+            Bits(record_form.Approx(query, records[id])));
+      }
+    }
+    // Pairs on both sides of theta were compared.
+    EXPECT_GT(matched, 0u);
+    EXPECT_GT(below, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Worlds, PreparedVerifyGeneratedTest,
     ::testing::Combine(::testing::Values(std::string("med"),
                                          std::string("wiki")),
                        ::testing::Values(uint64_t{1}, uint64_t{2})));

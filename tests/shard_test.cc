@@ -766,7 +766,8 @@ TEST_F(ShardSpillTest, SpillingJoinMatchesInMemoryAndLeavesNoTempFiles) {
   ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
 
   Engine monolithic = MakeEngine(0);
-  Result<JoinResult> mono = monolithic.Join("unified", {.theta = 0.7, .tau = 2});
+  Result<JoinResult> mono =
+      monolithic.Join("unified", {.theta = 0.7, .tau = 2});
   ASSERT_TRUE(mono.ok());
   ASSERT_GE(mono->pairs.size(), 3u);
 

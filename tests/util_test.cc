@@ -337,6 +337,24 @@ TEST(FlagsTest, ParsesLists) {
   EXPECT_EQ(taus[2], 4);
 }
 
+TEST(FlagsTest, MalformedNumbersExitNamingTheFlag) {
+  const char* argv[] = {"prog", "--shards=0,4x", "--strings=abc",
+                        "--theta=0.7,0.8x", "--sample=1e-2", "--taus=1,,2"};
+  Flags flags(6, const_cast<char**>(argv));
+  // Every item parses whole: "4x" is not 4, and "abc" is not 0.
+  EXPECT_EXIT(flags.GetIntList("shards", {}), ::testing::ExitedWithCode(1),
+              "error: --shards must be an integer \\(got '4x'\\)");
+  EXPECT_EXIT(flags.GetInt("strings", 0), ::testing::ExitedWithCode(1),
+              "error: --strings must be an integer \\(got 'abc'\\)");
+  EXPECT_EXIT(flags.GetDoubleList("theta", {}), ::testing::ExitedWithCode(1),
+              "error: --theta must be a number \\(got '0.8x'\\)");
+  EXPECT_EXIT(flags.GetDouble("theta", 0.5), ::testing::ExitedWithCode(1),
+              "error: --theta must be a number \\(got '0.7,0.8x'\\)");
+  EXPECT_DOUBLE_EQ(flags.GetDouble("sample", 1.0), 0.01);
+  // Empty items are skipped, as before.
+  EXPECT_EQ(flags.GetIntList("taus", {}), (std::vector<int64_t>{1, 2}));
+}
+
 TEST(IoTest, SplitAndJoinRoundTrip) {
   auto parts = SplitString("a,b,,c", ',');
   ASSERT_EQ(parts.size(), 4u);

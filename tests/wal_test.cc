@@ -59,7 +59,8 @@ std::vector<uint8_t> ReadFileBytes(const std::string& path) {
                               std::istreambuf_iterator<char>());
 }
 
-void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+void WriteFileBytes(const std::string& path,
+                    const std::vector<uint8_t>& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
@@ -1100,7 +1101,8 @@ TEST(WalConcurrencyTest, AppendsRaceQueriesAndRefreezeThenRecoverInParity) {
     std::vector<uint8_t> cut(bytes.begin(),
                              bytes.begin() + static_cast<size_t>(offset));
     WriteFileBytes(scratch_path, cut);
-    Result<WalReplay> partial = WalReader::ReadAll(Env::Default(), scratch_path);
+    Result<WalReplay> partial =
+        WalReader::ReadAll(Env::Default(), scratch_path);
     ASSERT_OK(partial.status());
     ASSERT_LE(partial->records.size(), append_texts.size());
     for (size_t i = 0; i < partial->records.size(); ++i) {

@@ -42,6 +42,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -169,11 +170,13 @@ constexpr const char* kKnownFlags =
     "tau_universe taxonomy theta threads topk wal wal_checkpoint_bytes";
 
 /// Parses `text`, the value (or one list field) of --NAME, as a whole
-/// base-10 integer >= `min`, exiting 1 with an error naming the flag
-/// otherwise: "abc" and "1x" are not integers, and cast to size_t a
-/// negative count would wrap to a huge one.
+/// base-10 integer in [min, max], exiting 1 with an error naming the flag
+/// otherwise: "abc" and "1x" are not integers, cast to size_t a negative
+/// count would wrap to a huge one, and cast to int a count above INT_MAX
+/// would wrap too.
 size_t ParseCount(const std::string& name, const std::string& text,
-                  int64_t min) {
+                  int64_t min,
+                  int64_t max = std::numeric_limits<int64_t>::max()) {
   int64_t value = 0;
   const char* end = text.data() + text.size();
   const auto [stop, error] = std::from_chars(text.data(), end, value);
@@ -188,6 +191,12 @@ size_t ParseCount(const std::string& name, const std::string& text,
                  static_cast<long long>(value));
     std::exit(1);
   }
+  if (value > max) {
+    std::fprintf(stderr, "error: --%s must be <= %lld (got %lld)\n",
+                 name.c_str(), static_cast<long long>(max),
+                 static_cast<long long>(value));
+    std::exit(1);
+  }
   return static_cast<size_t>(value);
 }
 
@@ -197,6 +206,15 @@ size_t CountFlag(const Flags& flags, const std::string& name,
                  int64_t default_value, int64_t min = 0) {
   if (!flags.Has(name)) return static_cast<size_t>(default_value);
   return ParseCount(name, flags.GetString(name, ""), min);
+}
+
+/// CountFlag for a count the engine stores as an int, so at most
+/// INT_MAX.
+int IntFlag(const Flags& flags, const std::string& name, int default_value,
+            int min = 0) {
+  if (!flags.Has(name)) return default_value;
+  return static_cast<int>(ParseCount(name, flags.GetString(name, ""), min,
+                                     std::numeric_limits<int>::max()));
 }
 
 /// Reads --NAME as a whole decimal number in (0, 1] — a similarity
@@ -277,8 +295,8 @@ EngineBuilder BuilderFromFlags(const Flags& flags) {
   }
   return EngineBuilder()
       .SetMeasures(flags.GetString("measures", "TJS"))
-      .SetQ(static_cast<int>(CountFlag(flags, "q", 3, /*min=*/1)))
-      .SetThreads(static_cast<int>(CountFlag(flags, "threads", 1)))
+      .SetQ(IntFlag(flags, "q", 3, /*min=*/1))
+      .SetThreads(IntFlag(flags, "threads", 1))
       .SetNumShards(CountFlag(flags, "shards", 0))
       .SetShardBy(shard_by)
       .SetSpillBudgetBytes(CountFlag(flags, "spill_budget_bytes", 0))
@@ -355,7 +373,7 @@ BenchReport MakeCliReport(const Flags& flags, const Dataset& dataset,
   report.num_records = dataset.records.size();
   report.dataset_manifest_json = dataset.manifest.ToJson();
   run->measures = flags.GetString("measures", "TJS");
-  run->threads = static_cast<int>(CountFlag(flags, "threads", 1));
+  run->threads = IntFlag(flags, "threads", 1);
   run->num_records = dataset.records.size();
   run->ok = true;
   run->peak_rss_bytes = CurrentPeakRssBytes();
@@ -492,7 +510,7 @@ int RunJoin(const Flags& flags) {
   EngineJoinOptions options;
   options.theta = FractionFlag(flags, "theta", 0.8);
   // 0 = pick tau with Algorithm 7.
-  const size_t tau = CountFlag(flags, "tau", 2);
+  const int tau = IntFlag(flags, "tau", 2);
   const double sample = FractionFlag(flags, "sample", 0.05);
   Result<Dataset> dataset = LoadDataset(spec);
   if (!dataset.ok()) {
@@ -508,7 +526,7 @@ int RunJoin(const Flags& flags) {
       dataset->records2.empty() ? dataset->records : dataset->records2;
 
   std::string algorithm = flags.GetString("algorithm", "unified");
-  options.tau = tau > 0 ? static_cast<int>(tau) : 1;
+  options.tau = tau > 0 ? tau : 1;
 
   if (!flags.GetString("snapshot", "").empty()) {
     // Only the monolithic unified join rides the shared PreparedIndex
@@ -626,7 +644,7 @@ int RunQuery(const Flags& flags) {
   EngineBuilder builder = BuilderFromFlags(flags);
   EngineSearchOptions options;
   options.theta = FractionFlag(flags, "theta", 0.8);
-  options.tau = static_cast<int>(CountFlag(flags, "tau", 1));
+  options.tau = IntFlag(flags, "tau", 1);
   options.k = CountFlag(flags, "topk", 0);
   Result<Dataset> dataset = LoadDataset(spec);
   if (!dataset.ok()) {
@@ -953,7 +971,8 @@ int RunTune(const Flags& flags) {
     tuner.tau_universe.clear();
     for (const std::string& field : SplitString(universe, ',')) {
       tuner.tau_universe.push_back(
-          static_cast<int>(ParseCount("tau_universe", field, 1)));
+          static_cast<int>(ParseCount("tau_universe", field, 1,
+                                      std::numeric_limits<int>::max())));
     }
   }
   Result<Dataset> dataset = LoadDataset(spec);

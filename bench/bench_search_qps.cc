@@ -6,7 +6,10 @@
 //
 // Queries are corpus records (optionally subsampled), so every
 // configuration is guaranteed self-hits and --require_nonzero can gate
-// regressions that silently empty the serving path.
+// regressions that silently empty the serving path. After each timed
+// loop every query's answer must equal a brute-force top-k over all
+// records (ids and similarity bits); the bench prints PARITY FAILURE and
+// exits 2 otherwise.
 //
 // Typical invocations:
 //   bench_search_qps --name=search_qps --profile=med --strings=400 \
@@ -17,12 +20,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/engine.h"
 #include "bench_common.h"
+#include "core/usim.h"
 #include "dataset/manifest.h"
 #include "harness.h"
 #include "util/parallel.h"
@@ -30,6 +37,61 @@
 
 namespace aujoin {
 namespace {
+
+using Match = UnifiedSearcher::Match;
+
+/// Every query's similarity to every record through the threshold-less
+/// Record-form Approx (row q is query q): the reference the timed loops
+/// are checked against. Query rows are spread over the hardware threads,
+/// one UsimComputer per worker.
+std::vector<std::vector<double>> BruteForceSimilarities(
+    const Knowledge& knowledge, const MsimOptions& msim,
+    const std::vector<Record>& queries, const std::vector<Record>& records) {
+  std::vector<std::vector<double>> sims(queries.size());
+  ParallelFor(queries.size(), /*num_threads=*/0,
+              [&](size_t begin, size_t end, int /*worker*/) {
+                UsimOptions options;
+                options.msim = msim;
+                UsimComputer computer(knowledge, options);
+                for (size_t q = begin; q < end; ++q) {
+                  for (const Record& record : records) {
+                    sims[q].push_back(computer.Approx(queries[q], record));
+                  }
+                }
+              });
+  return sims;
+}
+
+/// The serving order: similarity desc, then id asc.
+bool Ranked(const Match& a, const Match& b) {
+  if (a.similarity != b.similarity) return a.similarity > b.similarity;
+  return a.id < b.id;
+}
+
+/// The brute-force answer to one query: the records with similarity >=
+/// theta in the serving order, cut at k (0 = all).
+std::vector<Match> BruteForceTopK(const std::vector<double>& sims,
+                                  double theta, size_t k) {
+  std::vector<Match> all;
+  for (uint32_t id = 0; id < sims.size(); ++id) {
+    if (sims[id] >= theta) all.push_back(Match{id, sims[id]});
+  }
+  std::sort(all.begin(), all.end(), Ranked);
+  if (k > 0 && all.size() > k) all.resize(k);
+  return all;
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// Equal ids and similarity bits, match by match.
+bool SameBits(const std::vector<Match>& a, const std::vector<Match>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].id != b[i].id) return false;
+    if (Bits(a[i].similarity) != Bits(b[i].similarity)) return false;
+  }
+  return true;
+}
 
 int Run(int argc, char** argv) {
   Flags flags(argc, argv);
@@ -75,6 +137,8 @@ int Run(int argc, char** argv) {
   report.dataset_manifest_json = manifest.ToJson();
 
   uint64_t total_results = 0;
+  // Filled once, from the first engine's options, for every run.
+  std::vector<std::vector<double>> reference;
   for (int num_threads : thread_counts) {
     Engine engine = EngineBuilder()
                         .SetKnowledge(world->knowledge())
@@ -83,6 +147,10 @@ int Run(int argc, char** argv) {
                         .SetThreads(num_threads)
                         .Build();
     engine.SetRecords(records);
+    if (reference.empty()) {
+      reference = BruteForceSimilarities(
+          world->knowledge(), engine.options().msim, queries, records);
+    }
     for (double theta : thetas) {
       EngineSearchOptions options;
       options.theta = theta;
@@ -117,6 +185,7 @@ int Run(int argc, char** argv) {
       // and time each Engine::Search call individually (the engine is
       // shared and probed concurrently — that is the point).
       std::vector<double> latencies(queries.size(), 0.0);
+      std::vector<std::vector<Match>> answers(queries.size());
       std::atomic<uint64_t> results{0};
       std::atomic<uint64_t> candidates{0};
       WallTimer wall;
@@ -133,12 +202,29 @@ int Run(int argc, char** argv) {
                       if (matches.ok()) {
                         local_results += matches->size();
                         local_candidates += stats.query_candidates;
+                        answers[q] = std::move(*matches);
                       }
                     }
                     results.fetch_add(local_results);
                     candidates.fetch_add(local_candidates);
                   });
       double wall_seconds = wall.Seconds();
+
+      // A failed search leaves an empty answer, which no brute-force
+      // answer equals: each query finds at least itself.
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const std::vector<Match> expected =
+            BruteForceTopK(reference[q], theta, topk);
+        if (!SameBits(answers[q], expected)) {
+          std::fprintf(stderr,
+                       "PARITY FAILURE: th=%.2f thr=%d query %zu (\"%s\") "
+                       "returned %zu matches, brute force %zu — ids or "
+                       "similarity bits differ\n",
+                       theta, num_threads, q, queries[q].text.c_str(),
+                       answers[q].size(), expected.size());
+          return 2;
+        }
+      }
 
       run.ok = true;
       run.wall_seconds = wall_seconds;

@@ -116,7 +116,8 @@ struct EngineSearchOptions {
 /// reports index_seconds == 0.
 struct SearchStats {
   uint64_t queries = 0;
-  /// Candidate records that survived the signature filter (verified).
+  /// Candidate records that survived the signature filter, counted
+  /// before the USIM upper bound rejects most of them.
   uint64_t query_candidates = 0;
   /// Matches returned to the caller. On the streaming overloads (sink
   /// or callback) this counts matches actually emitted — a consumer

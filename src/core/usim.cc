@@ -173,6 +173,11 @@ double UsimComputer::UpperBound(const Record& s, const PreparedRecord& ps,
   return UpperBound(Segmented(s, ps, &s_side_), Segmented(t, pt, &t_side_));
 }
 
+double UsimComputer::UpperBound(const SegmentedRecord& s, const Record& t,
+                                const PreparedRecord& pt) {
+  return UpperBound(s, Segmented(t, pt, &t_side_));
+}
+
 double UsimComputer::UpperBound(const SegmentedRecord& s,
                                 const SegmentedRecord& t) {
   if (s.record.tokens.empty() || t.record.tokens.empty()) return 0.0;

@@ -111,6 +111,11 @@ class UsimComputer {
   double UpperBound(const Record& s, const PreparedRecord& ps,
                     const Record& t, const PreparedRecord& pt);
 
+  /// UpperBound with `s` segmented by the caller, as for the matching
+  /// Approx: search rejects a candidate with it before Algorithm 1.
+  double UpperBound(const SegmentedRecord& s, const Record& t,
+                    const PreparedRecord& pt);
+
   struct ExactResult {
     double value = 0.0;
     /// False when a partition/pair cap was hit (value is then a lower

@@ -97,6 +97,11 @@ std::vector<Match> UnifiedSearcher::Probe(const Record& query,
   const std::vector<PreparedRecord>& collection_prepared =
       index_->t_prepared();
   for (uint32_t id : candidates) {
+    // Reject-only: a candidate whose bound reaches theta runs the full
+    // Algorithm 1, so every returned similarity is the threshold-less one.
+    const double bound = computer.UpperBound(segmented, collection[id],
+                                             collection_prepared[id]);
+    if (bound < options.theta - UsimComputer::kBoundSlack) continue;
     double sim = computer.Approx(segmented, collection[id],
                                  collection_prepared[id]);
     if (sim >= options.theta) matches.push_back(Match{GlobalId(id), sim});

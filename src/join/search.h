@@ -88,7 +88,8 @@ class UnifiedSearcher {
   /// Per-query statistics, accumulated into the caller's struct.
   struct QueryStats {
     uint64_t queries = 0;
-    /// Candidate records surviving the signature filter (verified).
+    /// Candidate records surviving the signature filter, before the
+    /// USIM upper bound rejects most of them ahead of Algorithm 1.
     uint64_t candidates = 0;
     /// Seconds spent on one-time index work this call paid for: the
     /// CSR build of a probed index, plus — under SearchSlices — any
@@ -115,8 +116,9 @@ class UnifiedSearcher {
                           QueryStats* stats = nullptr) const;
 
   /// Every indexed record with Approx USIM >= options.theta, in no
-  /// particular order: candidates (the CSR count-merge probe) plus
-  /// Algorithm 1 verification, ids already global. This is one slice's
+  /// particular order: candidates (the CSR count-merge probe), the USIM
+  /// upper bound as a reject-only test, then Algorithm 1 on the
+  /// survivors, ids already global. This is one slice's
   /// share of a query; Search, TopK and SearchSlices rank it. Adds to
   /// `stats` candidates and index_seconds, not queries. Thread-safe.
   std::vector<Match> Probe(const Record& query, const SearchOptions& options,

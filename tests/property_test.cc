@@ -245,18 +245,9 @@ class UpperBoundGeneratedTest
 
 TEST_P(UpperBoundGeneratedTest, SoundOnTruthAndRandomPairs) {
   const auto& [profile_name, seed] = GetParam();
-  const bool wiki = profile_name == "wiki";
-  Vocabulary vocab;
-  Taxonomy taxonomy = GenerateTaxonomy(
-      {.num_nodes = wiki ? 400u : 200u, .seed = seed}, &vocab);
-  RuleSet rules = GenerateSynonyms(
-      {.num_rules = wiki ? 150u : 250u, .seed = seed + 1}, taxonomy, &vocab);
-  Knowledge knowledge{&vocab, &rules, &taxonomy};
-  CorpusGenerator gen(&vocab, &taxonomy, &rules);
-  CorpusProfile profile =
-      wiki ? CorpusProfile::Wiki(30) : CorpusProfile::Med(30);
-  profile.seed += seed;
-  Corpus corpus = gen.Generate(profile, {.num_pairs = 10, .seed = seed + 2});
+  const GeneratedWorld world(profile_name, seed);
+  const Knowledge knowledge = world.knowledge();
+  const Corpus& corpus = world.corpus;
 
   std::vector<std::pair<uint32_t, uint32_t>> pairs = corpus.truth_pairs;
   Rng rng(seed);
@@ -330,19 +321,9 @@ std::vector<uint64_t> TokenGramKeys(const RecordPebbles& rp,
 
 TEST_P(PreparedVerifyGeneratedTest, EqualsRecordFormBitForBit) {
   const auto& [profile_name, seed] = GetParam();
-  const bool wiki = profile_name == "wiki";
-  Vocabulary vocab;
-  Taxonomy taxonomy = GenerateTaxonomy(
-      {.num_nodes = wiki ? 400u : 200u, .seed = seed}, &vocab);
-  RuleSet rules = GenerateSynonyms(
-      {.num_rules = wiki ? 150u : 250u, .seed = seed + 1}, taxonomy, &vocab);
-  Knowledge knowledge{&vocab, &rules, &taxonomy};
-  CorpusGenerator gen(&vocab, &taxonomy, &rules);
-  CorpusProfile profile =
-      wiki ? CorpusProfile::Wiki(30) : CorpusProfile::Med(30);
-  profile.seed += seed;
-  const std::vector<Record> records =
-      gen.Generate(profile, {.num_pairs = 10, .seed = seed + 2}).records;
+  GeneratedWorld world(profile_name, seed);
+  const Knowledge knowledge = world.knowledge();
+  const std::vector<Record>& records = world.corpus.records;
 
   // Queries: indexed strings plus three tokens the index never saw, the
   // first and last spelled alike.
@@ -350,7 +331,7 @@ TEST_P(PreparedVerifyGeneratedTest, EqualsRecordFormBitForBit) {
   for (uint32_t i = 0; i < 8; ++i) {
     const Record& base = records[(i * 7) % records.size()];
     queries.push_back(
-        MakeRecord(i, base.text + " xqzjv vjzqx xqzjv", &vocab));
+        MakeRecord(i, base.text + " xqzjv vjzqx xqzjv", &world.vocab));
   }
 
   struct Config {

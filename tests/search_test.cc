@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "datagen/corpus_gen.h"
 #include "datagen/synonym_gen.h"
@@ -58,26 +63,81 @@ class SearchCorpusTest : public ::testing::Test {
   Corpus corpus_;
 };
 
-TEST_F(SearchCorpusTest, SearchMatchesBruteForceScan) {
-  UnifiedSearcher searcher(knowledge_, MsimOptions{});
-  searcher.Index(&corpus_.records);
-  UsimComputer computer(knowledge_, {});
+// Similarity desc, then id asc.
+bool ServingOrder(const UnifiedSearcher::Match& a,
+                  const UnifiedSearcher::Match& b) {
+  if (a.similarity != b.similarity) return a.similarity > b.similarity;
+  return a.id < b.id;
+}
 
-  UnifiedSearcher::SearchOptions options;
-  options.theta = 0.8;
-  options.tau = 2;
-  for (size_t q = 0; q < corpus_.records.size(); q += 9) {
-    const Record& query = corpus_.records[q];
-    auto matches = searcher.Search(query, options);
-    std::set<uint32_t> got;
-    for (const auto& m : matches) got.insert(m.id);
-    std::set<uint32_t> expected;
-    for (uint32_t i = 0; i < corpus_.records.size(); ++i) {
-      if (computer.Approx(query, corpus_.records[i]) >= options.theta) {
-        expected.insert(i);
-      }
+std::vector<std::pair<uint32_t, uint64_t>> IdsAndBits(
+    const std::vector<UnifiedSearcher::Match>& matches) {
+  std::vector<std::pair<uint32_t, uint64_t>> out;
+  for (const auto& m : matches) {
+    out.emplace_back(m.id, std::bit_cast<uint64_t>(m.similarity));
+  }
+  return out;
+}
+
+// Search and TopK(10) against a scan of every record through the
+// threshold-less Record-form Approx: the same (id, similarity bits) in
+// the serving order (similarity desc, id asc), at every theta, for every
+// `query_stride`-th record as the query. The scan must also see pairs
+// whose bound is below theta - kBoundSlack and non-self matches, so
+// both sides of the search's bound run.
+void ExpectSearchEqualsScan(const Knowledge& knowledge,
+                            const std::vector<Record>& records,
+                            size_t query_stride, const std::string& world) {
+  UnifiedSearcher searcher(knowledge, MsimOptions{});
+  searcher.Index(&records);
+  UsimComputer computer(knowledge, {});
+  size_t below_bound = 0;
+  size_t matches = 0;
+  for (size_t q = 0; q < records.size(); q += query_stride) {
+    const Record& query = records[q];
+    std::vector<double> sims;
+    std::vector<double> bounds;
+    for (const Record& record : records) {
+      sims.push_back(computer.Approx(query, record));
+      bounds.push_back(computer.UpperBound(query, record));
     }
-    EXPECT_EQ(got, expected) << "query=" << query.text;
+    for (double theta : {0.6, 0.8, 0.85, 0.9}) {
+      SCOPED_TRACE(world + " theta=" + std::to_string(theta) + " query=" +
+                   std::to_string(q) + " \"" + query.text + "\"");
+      std::vector<UnifiedSearcher::Match> expected;
+      for (uint32_t i = 0; i < records.size(); ++i) {
+        if (bounds[i] < theta - UsimComputer::kBoundSlack) ++below_bound;
+        if (sims[i] >= theta) {
+          expected.push_back({i, sims[i]});
+          if (i != q) ++matches;
+        }
+      }
+      std::sort(expected.begin(), expected.end(), ServingOrder);
+      UnifiedSearcher::SearchOptions options;
+      options.theta = theta;
+      options.tau = 2;
+      EXPECT_EQ(IdsAndBits(searcher.Search(query, options)),
+                IdsAndBits(expected));
+      expected.resize(std::min<size_t>(expected.size(), 10));
+      EXPECT_EQ(IdsAndBits(searcher.TopK(query, 10, theta, options)),
+                IdsAndBits(expected));
+    }
+  }
+  EXPECT_GT(below_bound, 0u) << world;
+  EXPECT_GT(matches, 0u) << world;
+}
+
+// Search equals brute force, similarity bits included, on this fixture's
+// corpus and on two seeds each of the generated MED and WIKI worlds the
+// property tests use.
+TEST_F(SearchCorpusTest, SearchMatchesBruteForceScan) {
+  ExpectSearchEqualsScan(knowledge_, corpus_.records, 9, "corpus seed=71");
+  for (const std::string profile_name : {"med", "wiki"}) {
+    for (uint64_t seed : {1, 2}) {
+      const GeneratedWorld world(profile_name, seed);
+      ExpectSearchEqualsScan(world.knowledge(), world.corpus.records, 3,
+                             profile_name + " seed=" + std::to_string(seed));
+    }
   }
 }
 

@@ -1,12 +1,16 @@
 #ifndef AUJOIN_TESTS_TEST_FIXTURES_H_
 #define AUJOIN_TESTS_TEST_FIXTURES_H_
 
+#include <cstdint>
 #include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "core/knowledge.h"
 #include "core/record.h"
+#include "datagen/corpus_gen.h"
+#include "datagen/synonym_gen.h"
+#include "datagen/taxonomy_gen.h"
 #include "synonym/rule_set.h"
 #include "taxonomy/taxonomy.h"
 #include "text/vocabulary.h"
@@ -94,6 +98,38 @@ class Example5World {
   RuleSet rules;
   RuleId r1, r2, r3, r4, r5, r6;
   Record s, t;
+};
+
+/// A small generated MED or WIKI world (`profile_name` "med" or "wiki"):
+/// taxonomy, synonym rules and a 30-string corpus with 10 planted truth
+/// pairs, all drawn from `seed`. Not copyable: knowledge() points into it.
+class GeneratedWorld {
+ public:
+  GeneratedWorld(const std::string& profile_name, uint64_t seed) {
+    const bool wiki = profile_name == "wiki";
+    TaxonomyGenOptions taxonomy_options;
+    taxonomy_options.num_nodes = wiki ? 400 : 200;
+    taxonomy_options.seed = seed;
+    taxonomy = GenerateTaxonomy(taxonomy_options, &vocab);
+    SynonymGenOptions synonym_options;
+    synonym_options.num_rules = wiki ? 150 : 250;
+    synonym_options.seed = seed + 1;
+    rules = GenerateSynonyms(synonym_options, taxonomy, &vocab);
+    CorpusGenerator gen(&vocab, &taxonomy, &rules);
+    CorpusProfile profile =
+        wiki ? CorpusProfile::Wiki(30) : CorpusProfile::Med(30);
+    profile.seed += seed;
+    corpus = gen.Generate(profile, {.num_pairs = 10, .seed = seed + 2});
+  }
+  GeneratedWorld(const GeneratedWorld&) = delete;
+  GeneratedWorld& operator=(const GeneratedWorld&) = delete;
+
+  Knowledge knowledge() const { return Knowledge{&vocab, &rules, &taxonomy}; }
+
+  Vocabulary vocab;
+  Taxonomy taxonomy;
+  RuleSet rules;
+  Corpus corpus;
 };
 
 }  // namespace aujoin
